@@ -13,19 +13,18 @@ binding the three together.
 from .errors import (FormatError, InvalidEdgeId, InvalidFamilyParams,
                      InvalidOrdering, InvalidTarget, InvalidVertex,
                      MatchseqError, NoKnownFormula, SearchBudgetExceeded)
-from .graphs import (Edge, FamilySpec, Graph, adjacent, attach_pendants,
-                     build_family, circulant3, complete, complete_bipartite,
-                     cycle, degrees, is_connected, is_tree, max_matching_size,
-                     multiply, path, random_tree, read_edge_list,
-                     write_edge_list)
+from .graphs import (Edge, Graph, adjacent, attach_pendants, circulant3,
+                     complete, complete_bipartite, cycle, degrees,
+                     is_connected, is_tree, max_matching_size, multiply, path,
+                     random_tree, read_edge_list, write_edge_list)
 from .orderings import (CYCLIC, LINEAR, EdgeOrdering, MatchingNumberReport,
                         is_matching, matching_number,
                         matching_number_bruteforce, parse_biadjacency,
                         random_ordering, read_ordering, reflect,
                         render_biadjacency, rotate, with_mode, write_ordering)
-from .constructions import (RotationScheme, biadjacency_layout,
-                            cms_complete_even, cms_complete_odd, cms_cycle,
-                            cms_doubled_complete_odd, cms_path,
+from .constructions import (FamilySpec, RotationScheme, biadjacency_layout,
+                            build_family, cms_complete_even, cms_complete_odd,
+                            cms_cycle, cms_doubled_complete_odd, cms_path,
                             family_ordering, ms_complete_bipartite,
                             ms_complete_odd_walecki, ms_circulant3, ms_path)
 from .solver import (BUDGET_EXCEEDED, NONEXISTENCE_CERTIFIED, VALUE_FOUND,

@@ -12,17 +12,14 @@ than extrapolated.
 from __future__ import annotations
 
 import itertools
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .constructions import family_ordering
+from .constructions import FAMILIES, FamilySpec, family_ordering
 from .errors import InvalidFamilyParams, NoKnownFormula
-from .graphs import (FamilySpec, Graph, _graph_from_pairs, attach_pendants,
-                     degrees, is_connected, is_tree, max_matching_size,
-                     multiply)
-from .orderings import CYCLIC, LINEAR, Mode, matching_number
+from .graphs import (Graph, _graph_from_pairs, attach_pendants, degrees,
+                     is_connected, is_tree, max_matching_size, multiply)
+from .orderings import LINEAR, Mode, matching_number
 from .solver import VALUE_FOUND, SolveBudget, cms_exact, ms_exact
 
 
@@ -39,71 +36,22 @@ def predicted(family: str | FamilySpec, mode: Mode,
               params: tuple[int, ...] | None = None) -> PredictedValue:
     """Known value for a family/mode, or NoKnownFormula.
 
-    Accepts a FamilySpec or a family name plus params; the extra name
-    ``doubled_complete`` covers the doubled odd complete multigraph.
-    Degenerate instances whose general formula would fall below 1 (single
-    edges, the 2-edge path read cyclically) are matchings or floor cases
-    and are reported with value 1.
+    Accepts a FamilySpec or a family name plus params, and looks the value
+    up in the family registry (``constructions.FAMILIES``).  Parameters out
+    of the family's bounds raise InvalidFamilyParams.
     """
     if isinstance(family, FamilySpec):
         family, params = family.family, family.params
     if params is None:
         raise ValueError("params required when family is given by name")
-
-    def pv(value: int, why: str) -> PredictedValue:
-        return PredictedValue(family, params, mode, value, why)
-
-    if family == "complete":
-        (n,) = params
-        if n == 2:
-            return pv(1, "K_2 is a single edge, hence a matching: value m = 1")
-        if n < 2:
-            raise NoKnownFormula("complete graphs below order 2 have no edges")
-        if mode == LINEAR:
-            return pv((n - 1) // 2, "ms(K_n) = floor((n-1)/2)")
-        if n == 3:
-            return pv(1, "cms(K_3) = 1")
-        if n % 2 == 0:
-            return pv((n - 1) // 2, "cms(K_n) = floor((n-1)/2) for even n >= 4")
-        return pv((n - 3) // 2, "cms(K_n) = floor((n-3)/2) for odd n >= 5")
-    if family == "complete_bipartite":
-        p, q = min(params), max(params)
-        if mode != LINEAR:
-            raise NoKnownFormula("no cyclic value on record for complete bipartite")
-        if p == q == 1:
-            return pv(1, "K_{1,1} is a single edge: value m = 1")
-        if p == q:
-            return pv(q - 1, "ms(K_{q,q}) = q - 1")
-        return pv(p, "ms(K_{p,q}) = min(p,q) when p != q")
-    if family == "cycle":
-        (n,) = params
-        if n < 3:
-            raise NoKnownFormula("cycles need n >= 3")
-        return pv((n - 1) // 2, "cms(C_n) = ms(C_n) = floor((n-1)/2)")
-    if family == "path":
-        (n,) = params
-        if n < 2:
-            raise NoKnownFormula("paths need n >= 2")
-        if n == 2:
-            return pv(1, "P_2 is a single edge: value m = 1")
-        if n % 2 == 0:
-            return pv((n - 2) // 2, "cms(P_n) = ms(P_n) = (n-2)/2 for even n")
-        if mode == LINEAR:
-            return pv((n - 1) // 2, "ms(P_n) = (n-1)/2 for odd n")
-        if n == 3:
-            return pv(1, "cms(P_3) = 1 (value floor; both edges meet)")
-        return pv((n - 3) // 2, "cms(P_n) = (n-3)/2 for odd n >= 5")
-    if family == "circulant3":
-        (n,) = params
-        if n < 3:
-            raise NoKnownFormula("circulant3 needs n >= 3")
-        return pv(n - 1, "cms = ms = n - 1 for the I+P+P^-1 cubic bipartite graph")
-    if family == "doubled_complete":
-        (n,) = params
-        if n < 5 or n % 2 == 0 or mode != CYCLIC:
-            raise NoKnownFormula("doubled complete value on record: cyclic, odd n >= 5")
-        return pv((n - 1) // 2, "cms(2K_{2m+1}) = m")
-    raise NoKnownFormula(f"no formula table for family {family!r}")
+    if family not in FAMILIES:
+        raise NoKnownFormula(f"no formula table for family {family!r}")
+    record = FAMILIES[family]
+    record.check(params)
+    if mode not in record.formulas:
+        raise NoKnownFormula(f"no {mode} value on record for {family}")
+    value, provenance = record.formulas[mode](*params)
+    return PredictedValue(family, params, mode, value, provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -164,18 +112,17 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-# case descriptor: (family, params, mode, run_exact, max_nodes, max_seconds)
-def _run_case(desc: tuple) -> VerificationRow:
-    family, params, mode, run_exact, max_nodes, max_seconds = desc
+def _run_case(family: str, params: tuple[int, ...], mode: Mode,
+              exact_up_to_edges: int, budget: SolveBudget) -> VerificationRow:
     started = time.perf_counter()
     pred = predicted(family, mode, params)
     ordering = family_ordering(family, params, mode)
     constructed = matching_number(ordering).value
     exact = None
     nodes = 0
-    if run_exact:
+    if ordering.length <= exact_up_to_edges:
         solve = ms_exact if mode == LINEAR else cms_exact
-        res = solve(ordering.graph, SolveBudget(max_nodes, max_seconds))
+        res = solve(ordering.graph, budget)
         nodes = res.nodes_explored
         exact = res.value if res.status == VALUE_FOUND else None
     passed = constructed == pred.value and (exact is None or exact == pred.value)
@@ -184,57 +131,25 @@ def _run_case(desc: tuple) -> VerificationRow:
                            (time.perf_counter() - started) * 1000.0, nodes)
 
 
-def _env_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("MATCHSEQ_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def verify_families(max_complete: int = 8, max_cycle: int = 16,
                     max_bipartite: int = 8, max_circulant: int = 8,
                     doubled_ms: tuple[int, ...] = (2, 3),
                     exact_up_to_edges: int = 12,
-                    budget: SolveBudget = SolveBudget(),
-                    jobs: int | None = None) -> VerificationReport:
+                    budget: SolveBudget = SolveBudget()) -> VerificationReport:
     """Check constructed value == predicted for every family in range.
 
-    Instances with at most ``exact_up_to_edges`` edges are additionally
-    solved exactly and must agree.  Rows are independent; MATCHSEQ_THREADS
-    (or ``jobs``) > 1 fans them out over a process pool.  The assembled
-    report is sorted, so output does not depend on the worker count.
+    Each registry family picks its instances from the range arguments and
+    is checked in every mode it has a construction for.  Instances with at
+    most ``exact_up_to_edges`` edges are additionally solved exactly and
+    must agree.  Rows are sorted by family, parameters and mode.
     """
-    descs: list[tuple] = []
-
-    def add(family: str, params: tuple[int, ...], mode: Mode, n_edges: int):
-        descs.append((family, params, mode, n_edges <= exact_up_to_edges,
-                      budget.max_nodes, budget.max_seconds))
-
-    for n in range(3, max_complete + 1):
-        m_edges = n * (n - 1) // 2
-        add("complete", (n,), LINEAR, m_edges)
-        add("complete", (n,), CYCLIC, m_edges)
-    for p in range(1, max_bipartite + 1):
-        for q in range(p, max_bipartite + 1):
-            add("complete_bipartite", (p, q), LINEAR, p * q)
-    for n in range(3, max_cycle + 1):
-        add("cycle", (n,), LINEAR, n)
-        add("cycle", (n,), CYCLIC, n)
-    for n in range(2, max_cycle + 1):
-        add("path", (n,), LINEAR, n - 1)
-        add("path", (n,), CYCLIC, n - 1)
-    for n in range(3, max_circulant + 1):
-        add("circulant3", (n,), LINEAR, 3 * n)
-        add("circulant3", (n,), CYCLIC, 3 * n)
-    for m in doubled_ms:
-        add("doubled_complete", (2 * m + 1,), CYCLIC, 2 * m * (2 * m + 1))
-
-    jobs = jobs if jobs is not None else _env_jobs()
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_run_case, descs))
-    else:
-        rows = [_run_case(d) for d in descs]
+    limits = dict(max_complete=max_complete, max_cycle=max_cycle,
+                  max_bipartite=max_bipartite, max_circulant=max_circulant,
+                  doubled_ms=doubled_ms)
+    rows = [_run_case(record.name, params, mode, exact_up_to_edges, budget)
+            for record in FAMILIES.values()
+            for params in record.verify_params(**limits)
+            for mode in record.constructions]
     rows.sort(key=lambda r: (r.family, r.params, r.mode))
     return VerificationReport(tuple(rows))
 
@@ -352,9 +267,7 @@ def _canonical_edge_subsets(n: int):
     """Yield one representative edge set per isomorphism class on n labels.
 
     A subset is kept iff its edge bitmask is minimal over all vertex
-    permutations.  A sorted-degree-sequence prefilter skips most of the
-    permutation work; the permutation test keeps the dedup sound (degree
-    sequences alone can merge non-isomorphic graphs).
+    permutations.
     """
     pairs = list(itertools.combinations(range(n), 2))
     index = {p: i for i, p in enumerate(pairs)}
@@ -362,16 +275,8 @@ def _canonical_edge_subsets(n: int):
     for perm in itertools.permutations(range(n)):
         perm_maps.append(tuple(index[tuple(sorted((perm[u], perm[v])))]
                                for u, v in pairs))
-    seen_degseq_min: dict[tuple[int, ...], list[int]] = {}
     for mask in range(1, 1 << len(pairs)):
-        deg = [0] * n
         members = [i for i in range(len(pairs)) if mask >> i & 1]
-        for i in members:
-            u, v = pairs[i]
-            deg[u] += 1
-            deg[v] += 1
-        key = tuple(sorted(deg))
-        bucket = seen_degseq_min.setdefault(key, [])
         minimal = True
         for pm in perm_maps:
             mapped = 0
@@ -381,7 +286,6 @@ def _canonical_edge_subsets(n: int):
                 minimal = False
                 break
         if minimal:
-            bucket.append(mask)
             yield [pairs[i] for i in members]
 
 

@@ -11,8 +11,7 @@ Subcommands::
                q3 (doubled graphs)
 
 Exit codes: 0 success/pass, 1 verification failure, 2 input error,
-3 budget exhaustion.  MATCHSEQ_THREADS caps the verify harness's process
-fan-out (default 1, fully deterministic either way).
+3 budget exhaustion.
 """
 
 from __future__ import annotations
@@ -35,11 +34,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("construct", help="build a known-value family ordering")
     c.add_argument("--family", required=True,
-                   choices=["complete", "bipartite", "complete_bipartite",
-                            "cycle", "path", "circulant3", "doubled_complete"])
+                   choices=[*constructions.FAMILIES, *_FAMILY_ALIASES])
     c.add_argument("--params", required=True, type=int, nargs="+")
     c.add_argument("--mode", choices=list(orderings.MODES),
-                   help="default: linear for bipartite, cyclic otherwise")
+                   help="default: cyclic if the family has a cyclic "
+                        "construction, else linear")
     c.add_argument("--matrix", action="store_true",
                    help="print the labeled biadjacency matrix (bipartite hosts)")
     c.add_argument("--out", help="write the ordering file here instead of stdout")
@@ -84,14 +83,13 @@ def _cmd_construct(args) -> int:
     family = _FAMILY_ALIASES.get(args.family, args.family)
     mode = args.mode
     if mode is None:
-        mode = orderings.LINEAR if family == "complete_bipartite" else orderings.CYCLIC
-    if args.matrix and family == "doubled_complete":
-        raise MatchseqError("doubled_complete has no biadjacency matrix view")
+        cyclic = orderings.CYCLIC in constructions.FAMILIES[family].constructions
+        mode = orderings.CYCLIC if cyclic else orderings.LINEAR
     ordering = constructions.family_ordering(family, tuple(args.params), mode)
     pred = catalog.predicted(family, mode, tuple(args.params))
     value = orderings.matching_number(ordering).value
     if args.matrix:
-        spec = graphs.FamilySpec(family, tuple(args.params))
+        spec = constructions.FamilySpec(family, tuple(args.params))
         rows, cols = constructions.biadjacency_layout(spec)
         sys.stdout.write(orderings.render_biadjacency(ordering, rows, cols))
     if args.graph_out:

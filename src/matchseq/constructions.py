@@ -17,16 +17,23 @@ exactly.  The schemes:
   ordering closes up cyclically.
 * complete bipartite, cycles, paths, circulant cubic bipartite: closed-form
   diagonal labelings of the biadjacency matrix.
+
+The module ends with the family registry ``FAMILIES``: one :class:`Family`
+record per named family holding its parameter bounds, host builder,
+construction and known value per mode, biadjacency layout and verification
+range.  ``FamilySpec``, ``build_family``, ``family_ordering``,
+``biadjacency_layout`` and ``catalog.predicted`` are lookups into it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import InvalidFamilyParams, NoKnownFormula, SearchBudgetExceeded
-from .graphs import (FamilySpec, Graph, circulant3, complete,
-                     complete_bipartite, cycle, multiply, path)
+from .errors import InvalidFamilyParams, NoKnownFormula
+from .graphs import (Graph, circulant3, complete, complete_bipartite, cycle,
+                     multiply, path)
 from .orderings import (CYCLIC, LINEAR, EdgeOrdering, Mode, matching_number,
                         with_mode)
 
@@ -353,9 +360,8 @@ def _circulant_labels(n: int) -> tuple[dict[int, int], dict[int, int], dict[int,
 def ms_circulant3(n: int, mode: Mode = CYCLIC) -> EdgeOrdering:
     """Ordering of circulant3(n) with matching number exactly n-1.
 
-    The closed-form three-diagonal labeling covers every n >= 3 and is
-    self-checked; if the check ever failed the exact solver would be asked
-    for a replacement witness (ascending-id DFS, i.e. greedy-first).
+    The closed-form three-diagonal labeling covers every n >= 3.  It is
+    self-checked: a labeling that misses n-1 raises AssertionError.
     """
     if n < 3:
         raise InvalidFamilyParams(f"ms_circulant3 requires n >= 3, got {n}")
@@ -368,23 +374,193 @@ def ms_circulant3(n: int, mode: Mode = CYCLIC) -> EdgeOrdering:
         seq[P[r] - 1] = 3 * i + 2      # cell (r, r+1) wrapping
         seq[Pinv[r] - 1] = 3 * i       # cell (r, r-1) wrapping
     ordering = EdgeOrdering(g, tuple(seq), mode)
-    if matching_number(ordering).value == n - 1:
-        return ordering
-    return _search_circulant3(g, n, mode)
-
-
-def _search_circulant3(g: Graph, n: int, mode: Mode) -> EdgeOrdering:
-    from .solver import SolveBudget, VALUE_FOUND, exists_ordering
-
-    result = exists_ordering(g, n - 1, CYCLIC, SolveBudget())
-    if result.status != VALUE_FOUND:
-        raise SearchBudgetExceeded(
-            f"no circulant3({n}) witness with value {n - 1} found in budget")
-    return with_mode(result.witness, mode)
+    value = matching_number(ordering).value
+    if value != n - 1:
+        raise AssertionError(
+            f"circulant3({n}) labeling fails its self-check: value {value} != {n - 1}")
+    return ordering
 
 
 # ---------------------------------------------------------------------------
-# biadjacency layouts and a family dispatcher
+# the family registry
+
+@dataclass(frozen=True)
+class Family:
+    """One named graph family: everything the package knows about it.
+
+    An instance is named by ``arity`` parameters, each at least ``lower``,
+    and ``build`` makes its host graph.  ``constructions`` and ``formulas``
+    map each mode on record to the known-value ordering and to its
+    ``(value, provenance)``.  ``layout`` gives a bipartite host's
+    biadjacency row and column vertex orders.  ``verify_params`` picks the
+    instances ``catalog.verify_families`` checks from its range keywords.
+    """
+
+    name: str
+    arity: int
+    lower: int
+    build: Callable[..., Graph]
+    constructions: Mapping[Mode, Callable[..., EdgeOrdering]]
+    formulas: Mapping[Mode, Callable[..., tuple[int, str]]]
+    verify_params: Callable[..., Iterable[tuple[int, ...]]]
+    layout: Callable[..., tuple[list[int], list[int]]] | None = None
+
+    def check(self, params: tuple[int, ...]) -> None:
+        """Raise InvalidFamilyParams unless ``params`` name an instance."""
+        if len(params) != self.arity:
+            raise InvalidFamilyParams(
+                f"{self.name} takes {self.arity} parameter(s), got {params}")
+        if any(p < self.lower for p in params):
+            raise InvalidFamilyParams(
+                f"{self.name} requires parameters >= {self.lower}, got {params}")
+
+
+def _per_mode(fn: Callable[..., object]) -> dict[Mode, Callable[..., object]]:
+    """Both modes, served by one function taking a ``mode`` keyword."""
+    return {mode: partial(fn, mode=mode) for mode in (LINEAR, CYCLIC)}
+
+
+# The records' adapters, value formulas and layouts.  Degenerate instances
+# whose general formula would fall below 1 (single edges, the 2-edge path
+# read cyclically) are matchings or floor cases and get value 1.
+
+def _complete_ordering(n: int, mode: Mode) -> EdgeOrdering:
+    if n < 2:
+        raise InvalidFamilyParams("complete needs n >= 2 for an ordering")
+    if n <= 3:
+        g = complete(n)
+        return EdgeOrdering(g, tuple(range(g.num_edges)), mode)
+    if n % 2 == 0:
+        return with_mode(cms_complete_even(n // 2), mode)
+    if mode == CYCLIC:
+        return cms_complete_odd((n - 1) // 2)
+    return ms_complete_odd_walecki((n - 1) // 2)
+
+
+def _complete_value(n: int, mode: Mode) -> tuple[int, str]:
+    if n == 2:
+        return 1, "K_2 is a single edge, hence a matching: value m = 1"
+    if n < 2:
+        raise NoKnownFormula("complete graphs below order 2 have no edges")
+    if mode == LINEAR:
+        return (n - 1) // 2, "ms(K_n) = floor((n-1)/2)"
+    if n == 3:
+        return 1, "cms(K_3) = 1"
+    if n % 2 == 0:
+        return (n - 1) // 2, "cms(K_n) = floor((n-1)/2) for even n >= 4"
+    return (n - 3) // 2, "cms(K_n) = floor((n-3)/2) for odd n >= 5"
+
+
+def _complete_bipartite_value(p: int, q: int) -> tuple[int, str]:
+    p, q = min(p, q), max(p, q)
+    if p == q == 1:
+        return 1, "K_{1,1} is a single edge: value m = 1"
+    if p == q:
+        return q - 1, "ms(K_{q,q}) = q - 1"
+    return p, "ms(K_{p,q}) = min(p,q) when p != q"
+
+
+def _even_cycle_layout(n: int) -> tuple[list[int], list[int]]:
+    if n % 2 == 1:
+        raise InvalidFamilyParams("odd cycles are not bipartite")
+    q = n // 2
+    return ([2 * (i - 1) for i in range(1, q + 1)],
+            [(2 * j - 3) % n for j in range(1, q + 1)])
+
+
+def _path_value(n: int, mode: Mode) -> tuple[int, str]:
+    if n == 2:
+        return 1, "P_2 is a single edge: value m = 1"
+    if n % 2 == 0:
+        return (n - 2) // 2, "cms(P_n) = ms(P_n) = (n-2)/2 for even n"
+    if mode == LINEAR:
+        return (n - 1) // 2, "ms(P_n) = (n-1)/2 for odd n"
+    if n == 3:
+        return 1, "cms(P_3) = 1 (value floor; both edges meet)"
+    return (n - 3) // 2, "cms(P_n) = (n-3)/2 for odd n >= 5"
+
+
+def _path_layout(n: int) -> tuple[list[int], list[int]]:
+    q = n // 2
+    if n % 2 == 0:
+        return ([2 * (q - i) for i in range(1, q + 1)],
+                [2 * (q - j) + 1 for j in range(1, q + 1)])
+    return ([2 * (q - i) + 1 for i in range(1, q + 1)],
+            [2 * (q - j + 1) for j in range(1, q + 2)])
+
+
+def _cms_doubled_complete(n: int) -> EdgeOrdering:
+    if n < 5 or n % 2 == 0:
+        raise InvalidFamilyParams(f"doubled_complete requires odd n >= 5, got {n}")
+    return cms_doubled_complete_odd((n - 1) // 2)
+
+
+def _cms_doubled_complete_value(n: int) -> tuple[int, str]:
+    if n < 5 or n % 2 == 0:
+        raise NoKnownFormula("doubled complete value on record: cyclic, odd n >= 5")
+    return (n - 1) // 2, "cms(2K_{2m+1}) = m"
+
+
+FAMILIES: dict[str, Family] = {f.name: f for f in (
+    Family("complete", 1, 1, complete,
+           constructions=_per_mode(_complete_ordering),
+           formulas=_per_mode(_complete_value),
+           verify_params=lambda max_complete, **_: (
+               (n,) for n in range(3, max_complete + 1))),
+    Family("complete_bipartite", 2, 1, complete_bipartite,
+           constructions={LINEAR: ms_complete_bipartite},
+           formulas={LINEAR: _complete_bipartite_value},
+           verify_params=lambda max_bipartite, **_: (
+               (p, q) for p in range(1, max_bipartite + 1)
+               for q in range(p, max_bipartite + 1)),
+           layout=lambda p, q: (list(range(p)), list(range(p, p + q)))),
+    Family("cycle", 1, 3, cycle,
+           constructions=_per_mode(lambda n, mode: with_mode(cms_cycle(n), mode)),
+           formulas=_per_mode(lambda n, mode: (
+               (n - 1) // 2, "cms(C_n) = ms(C_n) = floor((n-1)/2)")),
+           verify_params=lambda max_cycle, **_: (
+               (n,) for n in range(3, max_cycle + 1)),
+           layout=_even_cycle_layout),
+    Family("path", 1, 2, path,
+           constructions={LINEAR: ms_path, CYCLIC: cms_path},
+           formulas=_per_mode(_path_value),
+           verify_params=lambda max_cycle, **_: (
+               (n,) for n in range(2, max_cycle + 1)),
+           layout=_path_layout),
+    Family("circulant3", 1, 3, circulant3,
+           constructions=_per_mode(ms_circulant3),
+           formulas=_per_mode(lambda n, mode: (
+               n - 1, "cms = ms = n - 1 for the I+P+P^-1 cubic bipartite graph")),
+           verify_params=lambda max_circulant, **_: (
+               (n,) for n in range(3, max_circulant + 1)),
+           layout=lambda n: (list(range(n)), list(range(n, 2 * n)))),
+    Family("doubled_complete", 1, 1, lambda n: multiply(complete(n), 2),
+           constructions={CYCLIC: _cms_doubled_complete},
+           formulas={CYCLIC: _cms_doubled_complete_value},
+           verify_params=lambda doubled_ms, **_: ((2 * m + 1,) for m in doubled_ms)),
+)}
+
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """Symbolic description of a named graph family instance."""
+
+    family: str
+    params: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise InvalidFamilyParams(f"unknown family {self.family!r}")
+        FAMILIES[self.family].check(self.params)
+
+    def label(self) -> str:
+        return f"{self.family}({','.join(map(str, self.params))})"
+
+
+def build_family(spec: FamilySpec) -> Graph:
+    """Instantiate a family spec with its canonical vertex/edge indexing."""
+    return FAMILIES[spec.family].build(*spec.params)
+
 
 def biadjacency_layout(spec: FamilySpec) -> tuple[list[int], list[int]]:
     """Row/column vertex order under which the constructions' matrices print.
@@ -392,67 +568,22 @@ def biadjacency_layout(spec: FamilySpec) -> tuple[list[int], list[int]]:
     Only bipartite-representable families have one: complete_bipartite,
     circulant3, even cycles, and paths.
     """
-    family, params = spec.family, spec.params
-    if family == "complete_bipartite":
-        p, q = params
-        return list(range(p)), list(range(p, p + q))
-    if family == "circulant3":
-        (n,) = params
-        return list(range(n)), list(range(n, 2 * n))
-    if family == "cycle":
-        (n,) = params
-        if n % 2 == 1:
-            raise InvalidFamilyParams("odd cycles are not bipartite")
-        q = n // 2
-        return ([2 * (i - 1) for i in range(1, q + 1)],
-                [(2 * j - 3) % n for j in range(1, q + 1)])
-    if family == "path":
-        (n,) = params
-        q = n // 2
-        if n % 2 == 0:
-            return ([2 * (q - i) for i in range(1, q + 1)],
-                    [2 * (q - j) + 1 for j in range(1, q + 1)])
-        return ([2 * (q - i) + 1 for i in range(1, q + 1)],
-                [2 * (q - j + 1) for j in range(1, q + 2)])
-    raise InvalidFamilyParams(f"{family} has no biadjacency layout")
+    layout = FAMILIES[spec.family].layout
+    if layout is None:
+        raise InvalidFamilyParams(f"{spec.family} has no biadjacency layout")
+    return layout(*spec.params)
 
 
 def family_ordering(family: str, params: tuple[int, ...], mode: Mode) -> EdgeOrdering:
     """Dispatch a family name + parameters + mode to its construction.
 
-    Accepts the five named families plus ``doubled_complete`` (odd order,
-    cyclic only).  Raises NoKnownFormula for combinations without a
-    recorded construction (e.g. cyclic complete bipartite).
+    Raises InvalidFamilyParams for an unknown family or parameters out of
+    bounds, and NoKnownFormula for a mode without a recorded construction
+    (e.g. cyclic complete bipartite).
     """
-    if family == "doubled_complete":
-        (n,) = params
-        if n < 5 or n % 2 == 0:
-            raise InvalidFamilyParams(
-                f"doubled_complete requires odd n >= 5, got {n}")
-        if mode != CYCLIC:
-            raise NoKnownFormula("doubled_complete orderings are cyclic only")
-        return cms_doubled_complete_odd((n - 1) // 2)
-    spec = FamilySpec(family, params)  # validates name and bounds
-    if family == "complete":
-        (n,) = params
-        if n < 2:
-            raise InvalidFamilyParams("complete needs n >= 2 for an ordering")
-        if n <= 3:
-            g = complete(n)
-            return EdgeOrdering(g, tuple(range(g.num_edges)), mode)
-        if n % 2 == 0:
-            return with_mode(cms_complete_even(n // 2), mode)
-        if mode == CYCLIC:
-            return cms_complete_odd((n - 1) // 2)
-        return ms_complete_odd_walecki((n - 1) // 2)
-    if family == "complete_bipartite":
-        if mode != LINEAR:
-            raise NoKnownFormula("complete bipartite orderings are linear only")
-        return ms_complete_bipartite(*params)
-    if family == "cycle":
-        return with_mode(cms_cycle(*params), mode)
-    if family == "path":
-        return ms_path(*params) if mode == LINEAR else cms_path(*params)
-    if family == "circulant3":
-        return ms_circulant3(*params, mode=mode)
-    raise InvalidFamilyParams(f"unknown family {family!r}")
+    FamilySpec(family, params)  # validates name and bounds
+    constructions = FAMILIES[family].constructions
+    if mode not in constructions:
+        raise NoKnownFormula(
+            f"{family} orderings are {' and '.join(constructions)} only")
+    return constructions[mode](*params)

@@ -1,4 +1,4 @@
-"""Graph values, named graph families, and matching utilities.
+"""Graph values, graph builders, and matching utilities.
 
 Graphs are immutable: a vertex count ``order`` plus a tuple of edges with
 dense integer ids (``edges[i].id == i``).  Endpoints are stored normalized
@@ -21,8 +21,6 @@ from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .errors import FormatError, InvalidFamilyParams, InvalidVertex
-
-FAMILIES = ("complete", "complete_bipartite", "cycle", "path", "circulant3")
 
 
 class Edge(NamedTuple):
@@ -77,31 +75,6 @@ def _graph_from_pairs(order: int, pairs: Iterable[tuple[int, int]],
     return Graph(order, edges, allow_parallel)
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Symbolic description of a named graph family instance."""
-
-    family: str
-    params: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise InvalidFamilyParams(f"unknown family {self.family!r}")
-        n_params = 2 if self.family == "complete_bipartite" else 1
-        if len(self.params) != n_params:
-            raise InvalidFamilyParams(
-                f"{self.family} takes {n_params} parameter(s), got {self.params}")
-        lower = {"complete": 1, "complete_bipartite": 1, "cycle": 3,
-                 "path": 2, "circulant3": 3}[self.family]
-        for p in self.params:
-            if p < lower:
-                raise InvalidFamilyParams(
-                    f"{self.family} requires parameters >= {lower}, got {self.params}")
-
-    def label(self) -> str:
-        return f"{self.family}({','.join(map(str, self.params))})"
-
-
 def complete(n: int) -> Graph:
     """K_n with lexicographic edge ids: (0,1), (0,2), ..., (n-2,n-1)."""
     if n < 1:
@@ -145,18 +118,6 @@ def circulant3(n: int) -> Graph:
         for c in ((i - 1) % n, i, (i + 1) % n):
             pairs.append((i, n + c))
     return _graph_from_pairs(2 * n, pairs)
-
-
-def build_family(spec: FamilySpec) -> Graph:
-    """Instantiate a family spec with its canonical vertex/edge indexing."""
-    builders = {
-        "complete": complete,
-        "complete_bipartite": complete_bipartite,
-        "cycle": cycle,
-        "path": path,
-        "circulant3": circulant3,
-    }
-    return builders[spec.family](*spec.params)
 
 
 def multiply(g: Graph, k: int) -> Graph:

@@ -55,6 +55,16 @@ def test_predicted_uncovered_cases(family, params, mode):
         predicted(family, mode, params)
 
 
+@pytest.mark.parametrize("family,params,mode", [
+    ("cycle", (5, 6), LINEAR),
+    ("doubled_complete", (5, 6), CYCLIC),
+    ("complete_bipartite", (4,), LINEAR),
+])
+def test_predicted_wrong_arity(family, params, mode):
+    with pytest.raises(InvalidFamilyParams):
+        predicted(family, mode, params)
+
+
 def test_corollary_even_vs_odd_complete():
     for n in range(4, 10):
         lin = predicted("complete", LINEAR, (n,)).value
@@ -97,16 +107,6 @@ def test_verify_text_table_mentions_all_cases():
     text = report.to_text()
     assert "all pass" in text
     assert "complete(4) cyclic" in text
-
-
-def test_verify_parallel_jobs_match_sequential():
-    kwargs = dict(max_complete=5, max_cycle=5, max_bipartite=3,
-                  max_circulant=3, doubled_ms=(), exact_up_to_edges=6)
-    seq = verify_families(jobs=1, **kwargs)
-    par = verify_families(jobs=2, **kwargs)
-    strip = lambda rows: [(r.family, r.params, r.mode, r.predicted,
-                           r.constructed, r.exact, r.passed) for r in rows]
-    assert strip(seq.rows) == strip(par.rows)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,14 @@ def test_construct_invalid_params_exit2(capsys):
     assert "error" in err
 
 
+def test_construct_wrong_arity_exit2(capsys):
+    code, out, err = run_cli(capsys, "construct", "--family", "doubled_complete",
+                             "--params", "5", "6")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_construct_unsupported_mode_exit2(capsys):
     code, _, err = run_cli(capsys, "construct", "--family", "bipartite",
                            "--params", "3", "3", "--mode", "cyclic")
