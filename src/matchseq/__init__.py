@@ -12,7 +12,7 @@ binding the three together.
 
 from .errors import (FormatError, InvalidEdgeId, InvalidFamilyParams,
                      InvalidOrdering, InvalidTarget, InvalidVertex,
-                     MatchseqError, NoKnownFormula, SearchBudgetExceeded)
+                     MatchseqError, NoKnownFormula)
 from .graphs import (Edge, Graph, adjacent, attach_pendants, circulant3,
                      complete, complete_bipartite, cycle, degrees,
                      is_connected, is_tree, max_matching_size, multiply, path,

@@ -21,7 +21,7 @@ import json
 import sys
 
 from . import catalog, constructions, graphs, orderings, solver
-from .errors import MatchseqError, SearchBudgetExceeded
+from .errors import MatchseqError
 
 _FAMILY_ALIASES = {"bipartite": "complete_bipartite"}
 
@@ -195,9 +195,6 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except SearchBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (MatchseqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -29,10 +29,6 @@ class NoKnownFormula(MatchseqError):
     """No closed-form value is on record for the requested family/mode."""
 
 
-class SearchBudgetExceeded(MatchseqError):
-    """Witness search gave up before finding or refuting an ordering."""
-
-
 class FormatError(MatchseqError):
     """Malformed graph or ordering file.
 

@@ -1,11 +1,13 @@
 """Exact decision and optimization of ms/cms by pruned backtracking.
 
-``exists_ordering`` places edges into positions 1..m depth-first.  A
-candidate for position p must be non-adjacent to the edges at positions
-p-d+1 .. p-1; in cyclic mode the last d-1 positions are additionally
-checked against the opening ones.  Adjacency is tested through
-precomputed per-edge compatibility bitmasks, so each node is a handful of
-integer ANDs.
+``exists_ordering`` places edges into positions 1..m depth-first, in one
+loop over an explicit stack that holds the untried candidates of each
+open position, so the depth of the search is not bounded by Python's
+recursion limit.  A candidate for position p must be non-adjacent to the
+edges at positions p-d+1 .. p-1; in cyclic mode the last d-1 positions
+are additionally checked against the opening ones.  Adjacency is tested
+through per-edge compatibility bitmasks, built once from per-vertex
+incidence masks, so each node is a handful of integer ANDs.
 
 Symmetry breaking, cyclic mode only: position 1 is pinned to edge id 0
 (rotation) and the edge at position 2 must have a smaller id than the edge
@@ -65,10 +67,6 @@ class SolveResult:
         }
 
 
-class _BudgetHit(Exception):
-    pass
-
-
 def exists_ordering(g: Graph, d: int, mode: Mode,
                     budget: SolveBudget = SolveBudget()) -> SolveResult:
     """Decide whether some ordering of g has matching number >= d.
@@ -86,88 +84,73 @@ def exists_ordering(g: Graph, d: int, mode: Mode,
         raise InvalidTarget(f"bad mode {mode!r}")
 
     compat = _compat_masks(g)
-    full = (1 << m) - 1
+    free = (1 << m) - 1
     cyclic = mode == CYCLIC
     lookback = d - 1
+    max_nodes = budget.max_nodes
 
     seq: list[int] = []
+    stack: list[int] = []  # untried candidates of positions 1..len(seq)
+    # untried candidates of position len(seq)+1; cyclic mode pins edge 0
+    # at position 1 (rotation breaking)
+    cand = 1 if cyclic else free
     hist = [0] * m
-    state = {"nodes": 0}
+    nodes = 0
     t0 = time.perf_counter()
     deadline = t0 + budget.max_seconds
 
-    def place(eid: int) -> None:
-        state["nodes"] += 1
+    while cand or seq:
+        if not cand:  # position exhausted: backtrack
+            free |= 1 << seq.pop()
+            cand = stack.pop()
+            continue
+        bit = cand & -cand
+        stack.append(cand ^ bit)
+        free ^= bit
         hist[len(seq)] += 1
-        seq.append(eid)
-        n = state["nodes"]
-        if n > budget.max_nodes:
-            raise _BudgetHit
-        if (n == 1 or n % _BUDGET_CHECK_STRIDE == 0) and time.perf_counter() > deadline:
-            raise _BudgetHit
-
-    def candidates(free: int, depth: int) -> int:
-        p = depth + 1  # 1-based position being filled
+        seq.append(bit.bit_length() - 1)
+        nodes += 1
+        if nodes > max_nodes or ((nodes == 1 or nodes % _BUDGET_CHECK_STRIDE == 0)
+                                 and time.perf_counter() > deadline):
+            return SolveResult(BUDGET_EXCEEDED, None, None, nodes,
+                               tuple(hist), time.perf_counter() - t0)
+        depth = len(seq)  # positions filled; position depth+1 is next
+        if depth == m:
+            break
         cand = free
-        for e in seq[max(0, depth - lookback):depth]:
+        for e in seq[max(0, depth - lookback):]:
             cand &= compat[e]
         if cyclic:
-            j = p + d - m - 1  # wrap: must clear positions 1..j
-            for e in seq[:max(0, j)]:
+            # the wrap: position depth+1 must also clear positions 1..depth+d-m
+            for e in seq[:max(0, depth + d - m)]:
                 cand &= compat[e]
-            if p == m and m > 2:
+            if depth == m - 1 and m > 2:
                 cand &= ~((1 << (seq[1] + 1)) - 1)  # reflection breaking
-        return cand
-
-    def search(free: int, depth: int) -> bool:
-        if depth == m:
-            return True
-        cand = candidates(free, depth)
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            place(bit.bit_length() - 1)
-            if search(free ^ bit, depth + 1):
-                return True
-            seq.pop()
-        return False
-
-    try:
-        if cyclic:
-            place(0)  # rotation breaking: edge 0 opens the cycle
-            found = search(full ^ 1, 1)
-        else:
-            found = search(full, 0)
-    except _BudgetHit:
-        return SolveResult(BUDGET_EXCEEDED, None, None, state["nodes"],
-                           tuple(hist), time.perf_counter() - t0)
 
     elapsed = time.perf_counter() - t0
-    if not found:
-        return SolveResult(NONEXISTENCE_CERTIFIED, None, None, state["nodes"],
+    if len(seq) < m:
+        return SolveResult(NONEXISTENCE_CERTIFIED, None, None, nodes,
                            tuple(hist), elapsed)
     witness = EdgeOrdering(g, tuple(seq), mode)
     checked = matching_number(witness).value
     if checked < d:  # independent checker must agree; a miss is a solver bug
         raise AssertionError(
             f"witness fails validation: checker value {checked} < target {d}")
-    return SolveResult(VALUE_FOUND, d, witness, state["nodes"],
-                       tuple(hist), elapsed)
+    return SolveResult(VALUE_FOUND, d, witness, nodes, tuple(hist), elapsed)
 
 
 def _compat_masks(g: Graph) -> list[int]:
     """compat[e] = bitmask of edges sharing no endpoint with e.
 
-    Parallel copies share both endpoints, hence are never compatible.
+    Built from per-vertex incidence masks, so e itself and its parallel
+    copies, which share both endpoints, are never compatible.
     """
-    masks = []
+    incident = [0] * g.order
     for e in g.edges:
-        mask = 0
-        for f in g.edges:
-            if f.id != e.id and not (e.endpoints & f.endpoints):
-                mask |= 1 << f.id
-        masks.append(mask)
-    return masks
+        incident[e.u] |= 1 << e.id
+        incident[e.v] |= 1 << e.id
+    full = (1 << g.num_edges) - 1
+    return [full & ~(incident[e.u] | incident[e.v]) for e in g.edges]
 
 
 def _exact(g: Graph, mode: Mode, budget: SolveBudget) -> SolveResult:

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from matchseq import (LINEAR, complete, matching_number_bruteforce,
+from matchseq import (LINEAR, complete, matching_number_bruteforce, path,
                       read_edge_list, read_ordering, write_edge_list)
 from matchseq.cli import main
 
@@ -205,6 +205,18 @@ def test_solve_budget_exhaustion_exit3(capsys, tmp_path):
                            "--budget-seconds", "1e-9")
     assert code == 3
     assert json.loads(out)["status"] == "budget_exceeded"  # JSON still emitted
+
+
+def test_solve_long_path_target_no_traceback(tmp_path):
+    # 1,499 positions: deeper than Python's default recursion limit
+    f = _write_graph(tmp_path, path(1500))
+    proc = subprocess.run(
+        [sys.executable, "-m", "matchseq.cli", "solve", "--graph", str(f),
+         "--mode", "linear", "--target", "749"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["status"] == "value_found"
+    assert "Traceback" not in proc.stderr
 
 
 def test_solve_bad_target_exit2(capsys, tmp_path):

@@ -1,12 +1,16 @@
+import itertools
+import random
+
 import pytest
 
 from matchseq import (BUDGET_EXCEEDED, CYCLIC, LINEAR, NONEXISTENCE_CERTIFIED,
-                      SolveBudget, VALUE_FOUND, cms_exact, complete,
-                      complete_bipartite, cycle, exists_ordering,
-                      matching_number, max_matching_size, multiply, ms_exact,
-                      path)
+                      EdgeOrdering, SolveBudget, VALUE_FOUND, circulant3,
+                      cms_exact, complete, complete_bipartite, cycle,
+                      exists_ordering, matching_number, max_matching_size,
+                      multiply, ms_exact, path)
+from matchseq.catalog import _canonical_edge_subsets
 from matchseq.errors import InvalidTarget
-from matchseq.graphs import Graph
+from matchseq.graphs import Graph, _graph_from_pairs
 
 
 def test_k5_cyclic_d2_nonexistence():
@@ -147,3 +151,53 @@ def test_exact_value_is_exact_not_just_lower_bound():
 def test_depth_histogram_accounts_all_nodes():
     res = exists_ordering(complete(5), 2, CYCLIC)
     assert sum(res.depth_histogram) == res.nodes_explored
+
+
+def _differential_hosts() -> list[Graph]:
+    """Every graph class on 5 labels with at most 7 edges, seeded random
+    multigraphs, and two edge-doubled hosts."""
+    hosts = [_graph_from_pairs(5, pairs) for pairs in _canonical_edge_subsets(5)
+             if len(pairs) <= 7]
+    rng = random.Random(1109)
+    for _ in range(6):
+        n = rng.randint(2, 5)
+        pairs = list(itertools.combinations(range(n), 2))
+        chosen = [rng.choice(pairs) for _ in range(rng.randint(1, 6))]
+        hosts.append(_graph_from_pairs(n, chosen, allow_parallel=True))
+    return hosts + [multiply(path(3), 2), multiply(cycle(3), 2)]
+
+
+@pytest.mark.parametrize(
+    "g", _differential_hosts(),
+    ids=lambda g: f"n{g.order}-" + "-".join(f"{e.u}{e.v}" for e in g.edges))
+def test_solver_agrees_with_exhaustive_enumeration(g):
+    m = g.num_edges
+    for mode, exact in ((LINEAR, ms_exact), (CYCLIC, cms_exact)):
+        best = max(matching_number(EdgeOrdering(g, perm, mode)).value
+                   for perm in itertools.permutations(range(m)))
+        assert exact(g).value == best, mode
+        for d in range(1, m + 1):
+            want = VALUE_FOUND if d <= best else NONEXISTENCE_CERTIFIED
+            assert exists_ordering(g, d, mode).status == want, (mode, d)
+
+
+@pytest.mark.parametrize("solve,host,nodes", [
+    (ms_exact, lambda: complete_bipartite(5, 5), 35_596),
+    (ms_exact, lambda: circulant3(6), 49_806),
+    (cms_exact, lambda: complete(7), 39_426),
+    (cms_exact, lambda: complete_bipartite(5, 5), 4_876),
+    (cms_exact, lambda: multiply(complete(7), 2), 69_244),
+], ids=["ms-K5_5", "ms-circulant3_6", "cms-K7", "cms-K5_5", "cms-2K7"])
+def test_node_counts_pinned(solve, host, nodes):
+    # counts of the reference search: a change of search order shows here
+    assert solve(host()).nodes_explored == nodes
+
+
+@pytest.mark.parametrize("g,d,mode", [
+    (path(1500), 749, LINEAR),
+    (cycle(1201), 600, CYCLIC),
+], ids=["P1500-linear", "C1201-cyclic"])
+def test_long_hosts_search_past_the_recursion_limit(g, d, mode):
+    res = exists_ordering(g, d, mode)
+    assert res.status == VALUE_FOUND
+    assert matching_number(res.witness).value >= d
