@@ -180,42 +180,112 @@ def is_tree(g: Graph) -> bool:
 
 
 def max_matching_size(g: Graph) -> int:
-    """Size of a maximum matching, computed exactly.
+    """Size of a maximum matching, by Edmonds' blossom algorithm.
 
     Parallel edges never co-occur in a matching, so the computation runs on
-    the underlying simple graph.  Exhaustive branch over the lowest-index
-    matchable vertex with memoization on the remaining vertex set; fine for
-    the desk-scale graphs this package deals with.
+    the underlying simple graph.  A greedy pass matches what it can; then
+    each vertex left free is the root of one search for an augmenting path
+    (:func:`_augment`).  By Edmonds' theorem a vertex with no augmenting
+    path keeps having none after later augmentations, so one search per
+    root suffices.  Iterative, O(n^3) in the worst case.
     """
-    adj = [0] * g.order
+    nbrs: list[set[int]] = [set() for _ in range(g.order)]
     for e in g.edges:
-        adj[e.u] |= 1 << e.v
-        adj[e.v] |= 1 << e.u
-    memo: dict[int, int] = {}
+        nbrs[e.u].add(e.v)
+        nbrs[e.v].add(e.u)
+    mate = [-1] * g.order
+    size = 0
+    for v in range(g.order):
+        if mate[v] < 0:
+            for w in nbrs[v]:
+                if mate[w] < 0:
+                    mate[v], mate[w] = w, v
+                    size += 1
+                    break
+    for root in range(g.order):
+        if mate[root] < 0 and nbrs[root] and _augment(nbrs, mate, root):
+            size += 1
+    return size
 
-    def best(mask: int) -> int:
-        while mask:
-            low = mask & -mask
-            v = low.bit_length() - 1
-            if adj[v] & mask:
-                break
-            mask ^= low  # unmatchable vertex, drop it
-        else:
-            return 0
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        rest = mask ^ low
-        result = best(rest)
-        nb = adj[v] & rest
-        while nb:
-            ub = nb & -nb
-            nb ^= ub
-            result = max(result, 1 + best(rest ^ ub))
-        memo[mask] = result
-        return result
 
-    return best((1 << g.order) - 1)
+def _augment(nbrs: list[set[int]], mate: list[int], root: int) -> bool:
+    """Grow an alternating tree from the free vertex root; on reaching
+    another free vertex, flip the augmenting path into ``mate``.
+
+    Outer (even) vertices are the root and the mates of inner ones; an
+    inner vertex stores in ``parent`` the outer vertex it was reached from.
+    An edge between two outer vertices closes an odd cycle, the blossom,
+    which is contracted by pointing ``base`` of all its vertices at the
+    blossom's base; the inner vertices on it become outer and are queued.
+    Its ``parent`` links are rewired so that a path through the blossom can
+    still be read back by alternating ``mate`` and ``parent``.
+    """
+    parent: dict[int, int] = {}
+    base = {root: root}  # tree vertices only; others are their own base
+    outer = {root}
+    queue = [root]
+    for v in queue:  # the queue grows while it is read
+        for w in nbrs[v]:
+            bv, bw = base[v], base.get(w, w)
+            if bv == bw or mate[v] == w:
+                continue
+            if w in outer:
+                # two outer vertices: contract the blossom at their common base
+                top = _common_base(base, parent, mate, bv, bw)
+                blossom: set[int] = set()
+                _rewire(base, parent, mate, blossom, v, top, w)
+                _rewire(base, parent, mate, blossom, w, top, v)
+                for x in list(base):
+                    if base[x] in blossom:
+                        base[x] = top
+                        if x not in outer:
+                            outer.add(x)
+                            queue.append(x)
+            elif w not in parent:
+                parent[w] = v
+                base[w] = w
+                if mate[w] < 0:  # free vertex: flip the path back to root
+                    while w >= 0:
+                        pv = parent[w]
+                        nxt = mate[pv]
+                        mate[w], mate[pv] = pv, w
+                        w = nxt
+                    return True
+                x = mate[w]
+                base[x] = x
+                outer.add(x)
+                queue.append(x)
+    return False
+
+
+def _common_base(base: dict[int, int], parent: dict[int, int], mate: list[int],
+                 a: int, b: int) -> int:
+    """Base of the smallest blossom holding the outer bases a and b: the
+    first base on b's path to the root that also lies on a's."""
+    on_path = set()
+    while True:
+        on_path.add(a)
+        if mate[a] < 0:  # the root
+            break
+        a = base[parent[mate[a]]]
+    while b not in on_path:
+        b = base[parent[mate[b]]]
+    return b
+
+
+def _rewire(base: dict[int, int], parent: dict[int, int], mate: list[int],
+            blossom: set[int], v: int, top: int, child: int) -> None:
+    """Walk from outer vertex v down to the blossom base top, marking the
+    bases passed in ``blossom``.  Each outer vertex passed gets as parent
+    the vertex before it on the walk, starting from the far end ``child`` of
+    the closing edge, so an augmenting path that later enters the blossom
+    there can still be read back to top by alternating mate and parent."""
+    while base[v] != top:
+        blossom.add(base[v])
+        blossom.add(base[mate[v]])
+        parent[v] = child
+        child = mate[v]
+        v = parent[mate[v]]
 
 
 def random_tree(order: int, rng: random.Random) -> Graph:

@@ -105,40 +105,44 @@ def is_matching(g: Graph, edge_ids: Iterable[int]) -> bool:
 def matching_number(o: EdgeOrdering) -> MatchingNumberReport:
     """Exact matching number via the minimum gap over adjacent edge pairs.
 
-    Every adjacent pair shares a vertex, so it is enough to scan, for each
-    vertex, the sorted positions of its incident edges: consecutive entries
-    (plus the wrap-around pair in cyclic mode) realize the per-vertex
-    minimum.  Ties among minimizing pairs are broken by smallest earlier
-    position, then smallest later position, so reports are deterministic.
+    Every adjacent pair shares a vertex, so the minimum is realized by two
+    positions that are consecutive among one vertex's incident edges, or,
+    in cyclic mode, by a vertex's first and last position (the wrap-around
+    pair, gap m - (last - first)).  One sweep over the positions keeps each
+    vertex's first and last position seen so far and compares the gap to
+    the previous one as each edge arrives; the wrap-around pairs are
+    compared after the sweep.  Ties among minimizing pairs are broken by
+    smallest earlier position, then smallest later position, so reports
+    are deterministic: the sweep meets the pairs of one gap in order of
+    their later position, so only a strictly smaller gap replaces the best.
     """
     m = o.length
-    incident: dict[int, list[int]] = {}
-    for eid in range(m):
-        e = o.graph.edges[eid]
-        t = o.position(eid)
-        incident.setdefault(e.u, []).append(t)
-        incident.setdefault(e.v, []).append(t)
+    edges = o.graph.edges
+    first = [0] * o.graph.order  # 0: vertex not met yet
+    last = [0] * o.graph.order
+    gap, lo, hi = m + 1, 0, 0  # best (gap, pos_lo, pos_hi); m + 1: no pair yet
+    for t, eid in enumerate(o.sequence, start=1):
+        _, u, v = edges[eid]
+        p = last[u]
+        if not p:
+            first[u] = t
+        elif t - p < gap:
+            gap, lo, hi = t - p, p, t
+        last[u] = t
+        p = last[v]
+        if not p:
+            first[v] = t
+        elif t - p < gap:
+            gap, lo, hi = t - p, p, t
+        last[v] = t
+    if o.mode == CYCLIC:
+        for f, l in zip(first, last):
+            if f != l and m - (l - f) <= gap and (m - (l - f), f, l) < (gap, lo, hi):
+                gap, lo, hi = m - (l - f), f, l
 
-    best: tuple[int, int, int] | None = None  # (gap, pos_lo, pos_hi)
-    for positions in incident.values():
-        if len(positions) < 2:
-            continue
-        positions.sort()
-        candidates = [(b - a, a, b) for a, b in zip(positions, positions[1:])]
-        if o.mode == CYCLIC and len(positions) >= 2:
-            lo, hi = positions[0], positions[-1]
-            wrap = m - (hi - lo)
-            if wrap < m:  # hi != lo
-                candidates.append((wrap, lo, hi))
-        for cand in candidates:
-            if best is None or cand < best:
-                best = cand
-
-    if best is None:
+    if gap > m:
         return MatchingNumberReport(m, None)
-    gap, p_lo, p_hi = best
-    pair = (o.sequence[p_lo - 1], o.sequence[p_hi - 1], gap)
-    return MatchingNumberReport(gap, pair)
+    return MatchingNumberReport(gap, (o.sequence[lo - 1], o.sequence[hi - 1], gap))
 
 
 def matching_number_bruteforce(o: EdgeOrdering) -> int:

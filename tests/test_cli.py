@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from matchseq import (LINEAR, complete, matching_number_bruteforce, path,
+from matchseq import (LINEAR, complete, cycle, matching_number_bruteforce, path,
                       read_edge_list, read_ordering, write_edge_list)
 from matchseq.cli import main
 
@@ -216,6 +216,18 @@ def test_solve_long_path_target_no_traceback(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "value_found"
+    assert "Traceback" not in proc.stderr
+
+
+def test_solve_long_cycle_without_target_no_traceback(tmp_path):
+    # no --target: the matching bound of a 1,201-vertex host comes first
+    f = _write_graph(tmp_path, cycle(1201))
+    proc = subprocess.run(
+        [sys.executable, "-m", "matchseq.cli", "solve", "--graph", str(f),
+         "--mode", "linear"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["value"] == 600
     assert "Traceback" not in proc.stderr
 
 

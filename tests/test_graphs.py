@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,7 +8,8 @@ from matchseq import (Edge, FamilySpec, adjacent, attach_pendants, build_family,
                       is_connected, is_tree, max_matching_size, multiply, path,
                       random_tree, read_edge_list, write_edge_list)
 from matchseq.errors import FormatError, InvalidFamilyParams, InvalidVertex
-from matchseq.graphs import Graph
+from matchseq.catalog import _canonical_edge_subsets
+from matchseq.graphs import Graph, _graph_from_pairs
 
 
 def test_complete_edge_count_and_lexicographic_ids():
@@ -143,6 +145,92 @@ def test_max_matching_order18_tree_with_perfect_matching():
     g = Graph(18, tuple(Edge(i, min(p), max(p)) for i, p in enumerate(pairs)))
     assert is_tree(g)
     assert max_matching_size(g) == 9
+
+
+# ---------------------------------------------------------------------------
+# Edmonds' blossom algorithm against an exhaustive oracle
+
+def _exhaustive_matching_size(g: Graph) -> int:
+    """Oracle: branch over the lowest-index matchable vertex (left unmatched,
+    or matched to each neighbour in turn), memoised on the remaining vertex
+    set.  Exponential, and recursive once per matched vertex."""
+    adj = [0] * g.order
+    for e in g.edges:
+        adj[e.u] |= 1 << e.v
+        adj[e.v] |= 1 << e.u
+    memo: dict[int, int] = {}
+
+    def best(mask: int) -> int:
+        while mask:
+            low = mask & -mask
+            v = low.bit_length() - 1
+            if adj[v] & mask:
+                break
+            mask ^= low  # unmatchable vertex, drop it
+        else:
+            return 0
+        cached = memo.get(mask)
+        if cached is not None:
+            return cached
+        rest = mask ^ low
+        result = best(rest)
+        nb = adj[v] & rest
+        while nb:
+            ub = nb & -nb
+            nb ^= ub
+            result = max(result, 1 + best(rest ^ ub))
+        memo[mask] = result
+        return result
+
+    return best((1 << g.order) - 1)
+
+
+def test_matching_agrees_with_oracle_on_all_6_vertex_classes():
+    classes = list(_canonical_edge_subsets(6))
+    assert len(classes) == 155
+    for pairs in classes:
+        g = _graph_from_pairs(6, pairs)
+        assert max_matching_size(g) == _exhaustive_matching_size(g), pairs
+
+
+def test_matching_agrees_with_oracle_on_random_multigraphs():
+    rng = random.Random(1109)
+    for _ in range(400):
+        n = rng.randint(2, 12)
+        pairs = list(itertools.combinations(range(n), 2))
+        if rng.random() < 0.5:  # multigraph: edges drawn with repetition
+            chosen = [rng.choice(pairs) for _ in range(rng.randint(1, 2 * n))]
+        else:
+            p = rng.random()
+            chosen = [e for e in pairs if rng.random() < p]
+        g = _graph_from_pairs(n, chosen, allow_parallel=True)
+        assert max_matching_size(g) == _exhaustive_matching_size(g), (n, chosen)
+
+
+_PETERSEN = ([(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+             + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+# triangles {0,1,2} and {4,5,6} (or {5,6,7}) joined by a path through 3 (and 4)
+_TRIANGLES_ODD_PATH = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 6)]
+_TRIANGLES_EVEN_PATH = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6),
+                        (6, 7), (5, 7)]
+
+
+@pytest.mark.parametrize("order,pairs,nu", [
+    (10, _PETERSEN, 5), (7, _TRIANGLES_ODD_PATH, 3), (8, _TRIANGLES_EVEN_PATH, 4),
+], ids=["petersen", "triangles-odd-path", "triangles-even-path"])
+def test_matching_on_hosts_with_blossoms(order, pairs, nu):
+    # relabelled copies: the greedy start misses on many of them, so the
+    # augmenting search has to contract an odd cycle
+    rng = random.Random(order)
+    for _ in range(20):
+        perm = list(range(order))
+        rng.shuffle(perm)
+        g = _graph_from_pairs(order, [(perm[a], perm[b]) for a, b in pairs])
+        assert max_matching_size(g) == _exhaustive_matching_size(g) == nu
+
+
+def test_matching_on_long_cycle_no_recursion_limit():
+    assert max_matching_size(cycle(3000)) == 1500
 
 
 def test_loops_rejected():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -12,7 +13,8 @@ from matchseq import (CYCLIC, LINEAR, EdgeOrdering, FamilySpec,
                       reflect, render_biadjacency, rotate, with_mode,
                       write_ordering)
 from matchseq.errors import (FormatError, InvalidEdgeId, InvalidOrdering)
-from matchseq.graphs import Edge, Graph
+from matchseq.graphs import Edge, Graph, _graph_from_pairs
+from matchseq.orderings import MODES, MatchingNumberReport
 
 
 def _k44_paper_ordering(fixtures_dir, mode=LINEAR):
@@ -207,6 +209,47 @@ def test_report_pair_is_adjacent_at_reported_gap(o):
     delta = abs(o.position(a) - o.position(b))
     expected = min(delta, o.length - delta) if o.mode == CYCLIC else delta
     assert gap == expected == report.value
+
+
+def _min_gap_oracle(o: EdgeOrdering) -> MatchingNumberReport:
+    """O(m^2) reference: every pair of positions whose edges share a vertex,
+    at its forward gap and, in cyclic mode, also at m - gap; the
+    lexicographic minimum of (gap, pos_lo, pos_hi) wins."""
+    m = o.length
+    best = None
+    for i, j in itertools.combinations(range(1, m + 1), 2):
+        e, f = o.graph.edges[o.sequence[i - 1]], o.graph.edges[o.sequence[j - 1]]
+        if not e.endpoints & f.endpoints:
+            continue
+        gaps = (j - i, m - (j - i)) if o.mode == CYCLIC else (j - i,)
+        for gap in gaps:
+            if best is None or (gap, i, j) < best:
+                best = (gap, i, j)
+    if best is None:
+        return MatchingNumberReport(m, None)
+    gap, i, j = best
+    return MatchingNumberReport(gap, (o.sequence[i - 1], o.sequence[j - 1], gap))
+
+
+@st.composite
+def multigraph_orderings(draw):
+    n = draw(st.integers(2, 7))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda p: p[0] != p[1]),
+        min_size=1, max_size=14))
+    g = _graph_from_pairs(n, pairs, allow_parallel=True)
+    seq = draw(st.permutations(range(g.num_edges)))
+    return EdgeOrdering(g, tuple(seq), draw(st.sampled_from(MODES)))
+
+
+@given(st.one_of(orderings(), multigraph_orderings()))
+@settings(max_examples=300, deadline=None)
+def test_report_equals_pairwise_oracle(o):
+    report = matching_number(o)
+    want = _min_gap_oracle(o)
+    assert report.value == want.value
+    assert report.violating_pair == want.violating_pair
 
 
 # ---------------------------------------------------------------------------

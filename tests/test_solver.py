@@ -201,3 +201,11 @@ def test_long_hosts_search_past_the_recursion_limit(g, d, mode):
     res = exists_ordering(g, d, mode)
     assert res.status == VALUE_FOUND
     assert matching_number(res.witness).value >= d
+
+
+@pytest.mark.parametrize("solve", [ms_exact, cms_exact], ids=["ms", "cms"])
+def test_exact_solve_on_long_cycle(solve):
+    # 1,201 vertices: the matching bound is computed past the recursion limit,
+    # and d = nu = 600 is found in one greedy descent
+    res = solve(cycle(1201))
+    assert (res.status, res.value, res.nodes_explored) == (VALUE_FOUND, 600, 1201)
