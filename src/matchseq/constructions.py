@@ -8,9 +8,9 @@ exactly.  The schemes:
   circle, concatenating the rotated blocks; for even order the aligned
   blocks form a 1-factorization, for odd order they are the 2m+1
   near-perfect matchings.
-* odd complete graphs, linear: decompose into Hamilton cycles by rotating a
-  zigzag cycle, traversing each cycle by alternate edges (two passes around
-  the odd cycle), and concatenating the cycles.
+* odd complete graphs, linear: the same rotation, applied to a zigzag
+  Hamilton cycle traversed by alternate edges (two passes around the odd
+  cycle), decomposes the graph into Hamilton cycles and concatenates them.
 * doubled odd complete multigraphs: continue the same rotation for a second
   sweep of the Hamilton cycles, which supplies each edge's parallel copy
   and makes every block junction a rotated image of the first one, so the
@@ -39,23 +39,33 @@ from .orderings import (CYCLIC, LINEAR, EdgeOrdering, Mode, matching_number,
 
 
 def _ids_for(g: Graph, pairs: Sequence[tuple[int, int]]) -> tuple[int, ...]:
+    """Edge ids for ``pairs``: the j-th listing of a pair gets its j-th copy."""
+    listed = [0] * g.num_edges  # listings so far, by the pair's first-copy id
     out = []
     for a, b in pairs:
         ids = g.edge_ids_between(a, b)
         if not ids:
             raise ValueError(f"no edge {{{a},{b}}} in graph")
-        out.append(ids[0])
+        j = listed[ids[0]]
+        if j == len(ids):
+            raise ValueError(f"edge {{{a},{b}}} listed more than {j} time(s)")
+        listed[ids[0]] = j + 1
+        out.append(ids[j])
     return tuple(out)
 
 
 @dataclass(frozen=True)
 class RotationScheme:
-    """A base matching swept around the vertex circle by a rotation.
+    """A base block swept around the vertex circle by a rotation.
 
+    The base block is a matching for the cyclic complete-graph schemes and a
+    Hamilton cycle in alternate-edge order for the Walecki sweep.
     ``rotation[v]`` is the image of vertex v.  Applying the rotation
-    ``block_count`` times must map the base matching back onto itself;
+    ``block_count`` times must map the base block back onto itself;
     ``blocks()`` checks that closure and yields the rotated blocks whose
-    concatenation is the ordering.
+    concatenation is the ordering.  ``ordering()`` maps the j-th listing of
+    a vertex pair to the pair's j-th parallel copy, so a sweep may visit an
+    edge of a multigraph once per copy.
     """
 
     base_matching: tuple[tuple[int, int], ...]
@@ -135,28 +145,22 @@ def _zigzag_cycle(m: int) -> list[tuple[int, int]]:
     return [(verts[i], verts[(i + 1) % len(verts)]) for i in range(len(verts))]
 
 
-def _hamilton_blocks(m: int, count: int) -> list[tuple[int, int]]:
-    """First ``count`` rotated Hamilton cycles, each in alternate-edge order.
+def _walecki_scheme(m: int, count: int) -> RotationScheme:
+    """The first ``count`` rotated Hamilton cycles, each in alternate-edge order.
 
     The alternate-edge traversal of an odd cycle (edge indices 0, 2, 4, ...
     taken twice around) keeps any m consecutive of its 2m+1 edges disjoint.
-    theta rotates the rim 0..2m-1 by one step and fixes the hub, and the
+    theta rotates the rim 0..2m-1 by one step and fixes the hub 2m, and the
     traversal start is locked at edge 0: with that start every window
     spanning a block boundary is a matching as well, which the fixture
-    tests pin down.
+    tests pin down.  The zigzag cycle is symmetric under the half-turn
+    theta^m, so both m and 2m blocks close up.
     """
     cycle_edges = _zigzag_cycle(m)
     n_edges = len(cycle_edges)
-    traversal = [cycle_edges[(2 * j) % n_edges] for j in range(n_edges)]
-    c = 2 * m
-
-    def theta(v: int, k: int) -> int:
-        return c if v == c else (v + k) % (2 * m)
-
-    pairs = []
-    for k in range(count):
-        pairs.extend((theta(a, k), theta(b, k)) for a, b in traversal)
-    return pairs
+    traversal = tuple(cycle_edges[(2 * j) % n_edges] for j in range(n_edges))
+    theta = tuple(range(1, 2 * m)) + (0, 2 * m)
+    return RotationScheme(traversal, theta, count)
 
 
 def ms_complete_odd_walecki(m: int) -> EdgeOrdering:
@@ -169,8 +173,7 @@ def ms_complete_odd_walecki(m: int) -> EdgeOrdering:
     """
     if m < 2:
         raise InvalidFamilyParams(f"ms_complete_odd_walecki requires m >= 2, got {m}")
-    g = complete(2 * m + 1)
-    return EdgeOrdering(g, _ids_for(g, _hamilton_blocks(m, m)), LINEAR)
+    return _walecki_scheme(m, m).ordering(complete(2 * m + 1), LINEAR)
 
 
 def cms_doubled_complete_odd(m: int) -> EdgeOrdering:
@@ -185,15 +188,7 @@ def cms_doubled_complete_odd(m: int) -> EdgeOrdering:
     """
     if m < 2:
         raise InvalidFamilyParams(f"cms_doubled_complete_odd requires m >= 2, got {m}")
-    g2 = multiply(complete(2 * m + 1), 2)
-    seen: dict[tuple[int, int], int] = {}
-    seq = []
-    for a, b in _hamilton_blocks(m, 2 * m):
-        key = (min(a, b), max(a, b))
-        copy = seen.get(key, 0)
-        seen[key] = copy + 1
-        seq.append(g2.edge_ids_between(a, b)[copy])
-    return EdgeOrdering(g2, tuple(seq), CYCLIC)
+    return _walecki_scheme(m, 2 * m).ordering(multiply(complete(2 * m + 1), 2), CYCLIC)
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +203,6 @@ def ms_complete_bipartite(p: int, q: int) -> EdgeOrdering:
     blocks shift by -1 (mod b) and a window of size a can never hit one row
     or column twice.
     """
-    if p < 1 or q < 1:
-        raise InvalidFamilyParams(f"ms_complete_bipartite requires p,q >= 1, got ({p},{q})")
     g = complete_bipartite(p, q)
     a, b = min(p, q), max(p, q)
     labels: dict[tuple[int, int], int] = {}  # (row, col) on the a x b grid
@@ -272,8 +265,6 @@ def cms_cycle(n: int) -> EdgeOrdering:
     names edge e_{2(t-1) mod n}.  Even n = 2q: diagonal labeling of the
     I + P biadjacency matrix per :func:`_even_cycle_labels`.
     """
-    if n < 3:
-        raise InvalidFamilyParams(f"cms_cycle requires n >= 3, got {n}")
     g = cycle(n)
     if n % 2 == 1:
         seq = tuple((2 * t) % n for t in range(n))
@@ -310,8 +301,6 @@ def _path_sequence(n: int) -> tuple[int, ...]:
 
 def ms_path(n: int) -> EdgeOrdering:
     """Linear ordering of P_n attaining (n-2)/2 (even n) or (n-1)/2 (odd n)."""
-    if n < 2:
-        raise InvalidFamilyParams(f"ms_path requires n >= 2, got {n}")
     return EdgeOrdering(path(n), _path_sequence(n), LINEAR)
 
 
@@ -321,8 +310,6 @@ def cms_path(n: int) -> EdgeOrdering:
     Even n keeps the linear value (n-2)/2; odd n drops to (n-3)/2, which is
     the best any cyclic ordering of an odd path can do (floor 1 for n = 3).
     """
-    if n < 2:
-        raise InvalidFamilyParams(f"cms_path requires n >= 2, got {n}")
     return EdgeOrdering(path(n), _path_sequence(n), CYCLIC)
 
 
@@ -363,8 +350,6 @@ def ms_circulant3(n: int, mode: Mode = CYCLIC) -> EdgeOrdering:
     The closed-form three-diagonal labeling covers every n >= 3.  It is
     self-checked: a labeling that misses n-1 raises AssertionError.
     """
-    if n < 3:
-        raise InvalidFamilyParams(f"ms_circulant3 requires n >= 3, got {n}")
     g = circulant3(n)
     diag, P, Pinv = _circulant_labels(n)
     seq = [0] * (3 * n)
@@ -552,9 +537,6 @@ class FamilySpec:
         if self.family not in FAMILIES:
             raise InvalidFamilyParams(f"unknown family {self.family!r}")
         FAMILIES[self.family].check(self.params)
-
-    def label(self) -> str:
-        return f"{self.family}({','.join(map(str, self.params))})"
 
 
 def build_family(spec: FamilySpec) -> Graph:

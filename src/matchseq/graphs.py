@@ -157,14 +157,20 @@ def degrees(g: Graph) -> list[int]:
     return deg
 
 
+def _neighbour_sets(g: Graph) -> list[set[int]]:
+    """Per-vertex neighbour sets, filled in edge-id order."""
+    nbrs: list[set[int]] = [set() for _ in range(g.order)]
+    for e in g.edges:
+        nbrs[e.u].add(e.v)
+        nbrs[e.v].add(e.u)
+    return nbrs
+
+
 def is_connected(g: Graph) -> bool:
     """Connectivity over vertices (isolated vertices count)."""
     if g.order == 1:
         return True
-    neigh: dict[int, set[int]] = {v: set() for v in range(g.order)}
-    for e in g.edges:
-        neigh[e.u].add(e.v)
-        neigh[e.v].add(e.u)
+    neigh = _neighbour_sets(g)
     seen = {0}
     stack = [0]
     while stack:
@@ -189,10 +195,7 @@ def max_matching_size(g: Graph) -> int:
     path keeps having none after later augmentations, so one search per
     root suffices.  Iterative, O(n^3) in the worst case.
     """
-    nbrs: list[set[int]] = [set() for _ in range(g.order)]
-    for e in g.edges:
-        nbrs[e.u].add(e.v)
-        nbrs[e.v].add(e.u)
+    nbrs = _neighbour_sets(g)
     mate = [-1] * g.order
     size = 0
     for v in range(g.order):

@@ -9,10 +9,9 @@ are additionally checked against the opening ones.  Adjacency is tested
 through per-edge compatibility bitmasks, built once from per-vertex
 incidence masks, so each node is a handful of integer ANDs.
 
-Symmetry breaking, cyclic mode only: position 1 is pinned to edge id 0
-(rotation) and the edge at position 2 must have a smaller id than the edge
-at position m (reflection).  Candidates are always tried in ascending edge
-id, so completed searches are deterministic.
+Symmetry breaking, cyclic mode only, and rotation only: position 1 is
+pinned to edge id 0.  Candidates are always tried in ascending edge id, so
+completed searches are deterministic.
 
 Nonexistence is reported only when the pruned tree has been exhausted;
 running out of budget is a distinct status, never conflated with a
@@ -124,8 +123,6 @@ def exists_ordering(g: Graph, d: int, mode: Mode,
             # the wrap: position depth+1 must also clear positions 1..depth+d-m
             for e in seq[:max(0, depth + d - m)]:
                 cand &= compat[e]
-            if depth == m - 1 and m > 2:
-                cand &= ~((1 << (seq[1] + 1)) - 1)  # reflection breaking
 
     elapsed = time.perf_counter() - t0
     if len(seq) < m:

@@ -4,10 +4,12 @@ from matchseq import (CYCLIC, LINEAR, FamilySpec, RotationScheme, SolveBudget,
                       VALUE_FOUND, biadjacency_layout, circulant3,
                       cms_complete_even, cms_complete_odd, cms_cycle,
                       cms_doubled_complete_odd, cms_exact, cms_path, complete,
-                      family_ordering, is_matching, matching_number,
-                      matching_number_bruteforce, ms_circulant3,
-                      ms_complete_bipartite, ms_complete_odd_walecki, ms_path,
-                      predicted, render_biadjacency, with_mode)
+                      complete_bipartite, cycle, family_ordering, is_matching,
+                      matching_number, matching_number_bruteforce,
+                      ms_circulant3, ms_complete_bipartite,
+                      ms_complete_odd_walecki, ms_path, path, predicted,
+                      render_biadjacency, with_mode)
+from matchseq.constructions import FAMILIES
 from matchseq.errors import InvalidFamilyParams, NoKnownFormula
 
 
@@ -97,6 +99,13 @@ def test_rotation_scheme_closure_checked():
         bad.blocks()
 
 
+def test_rotation_scheme_rejects_a_pair_listed_past_its_copies():
+    # K_2 has one copy of {0,1}; the second block lists it again
+    scheme = RotationScheme(((0, 1),), (0, 1), 2)
+    with pytest.raises(ValueError):
+        scheme.ordering(complete(2), LINEAR)
+
+
 def test_rotation_scheme_blocks_partition():
     base = ((0, 1), (2, 3))
     phi = (0, 2, 3, 1)  # fix 0, rotate 1->2->3->1
@@ -109,6 +118,14 @@ def test_rotation_scheme_blocks_partition():
 
 # ---------------------------------------------------------------------------
 # Hamilton-cycle sweep (linear) and its doubled cyclic closure
+
+def test_walecki_exact_sequences():
+    assert ms_complete_odd_walecki(2).sequence == (3, 5, 8, 0, 7, 6, 1, 9, 4, 2)
+    assert ms_complete_odd_walecki(3).sequence == (
+        5, 9, 12, 17, 0, 13, 15, 10, 1, 16, 19, 6, 2, 18, 14, 7, 3, 20, 11, 8, 4)
+    assert cms_doubled_complete_odd(2).sequence == (
+        3, 5, 8, 0, 7, 6, 1, 9, 4, 2, 18, 15, 13, 17, 10, 19, 11, 16, 12, 14)
+
 
 def test_walecki_k5():
     o = ms_complete_odd_walecki(2)
@@ -337,6 +354,25 @@ def test_family_ordering_rejections():
         family_ordering("complete", (1,), LINEAR)
     with pytest.raises(InvalidFamilyParams):
         family_ordering("nosuch", (3,), LINEAR)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: complete(0), lambda: complete_bipartite(0, 3), lambda: cycle(2),
+    lambda: path(1), lambda: circulant3(2), lambda: ms_complete_bipartite(0, 3),
+    lambda: cms_cycle(2), lambda: ms_path(1), lambda: cms_path(1),
+    lambda: ms_circulant3(2),
+])
+def test_below_bound_raises_invalid_params(call):
+    with pytest.raises(InvalidFamilyParams):
+        call()
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_record_bound_matches_its_builder(name):
+    fam = FAMILIES[name]
+    fam.build(*(fam.lower,) * fam.arity)
+    with pytest.raises(InvalidFamilyParams):
+        fam.build(*(fam.lower - 1,) * fam.arity)
 
 
 def test_layout_rejections():
