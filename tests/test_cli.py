@@ -207,6 +207,19 @@ def test_solve_budget_exhaustion_exit3(capsys, tmp_path):
     assert json.loads(out)["status"] == "budget_exceeded"  # JSON still emitted
 
 
+def test_solve_k9_cyclic_target3_found(capsys, tmp_path):
+    # the ascending-id DFS alone needs more than 20M nodes here; the greedy
+    # restarts at its budget checkpoints find a witness within a few slices
+    f = _write_graph(tmp_path, complete(9))
+    code, out, _ = run_cli(capsys, "solve", "--graph", str(f), "--mode", "cyclic",
+                           "--target", "3", "--budget-seconds", "5")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["status"] == "value_found"
+    assert payload["greedy_placements"] > 0
+    assert payload["witness"]
+
+
 def test_solve_long_path_target_no_traceback(tmp_path):
     # 1,499 positions: deeper than Python's default recursion limit
     f = _write_graph(tmp_path, path(1500))

@@ -11,6 +11,7 @@ from matchseq import (BUDGET_EXCEEDED, CYCLIC, LINEAR, NONEXISTENCE_CERTIFIED,
 from matchseq.catalog import _canonical_edge_subsets
 from matchseq.errors import InvalidTarget
 from matchseq.graphs import Graph, _graph_from_pairs
+from matchseq.solver import _GREEDY_SLICE, _compat_masks, _greedy_restarts
 
 
 def test_k5_cyclic_d2_nonexistence():
@@ -80,17 +81,22 @@ def test_monotonicity_spot_check():
 
 
 def test_witness_determinism():
-    a = exists_ordering(complete(6), 2, CYCLIC)
-    b = exists_ordering(complete(6), 2, CYCLIC)
-    assert a.witness.sequence == b.witness.sequence
-    assert a.nodes_explored == b.nodes_explored
+    # K6 d=2 is found by the DFS alone, K8 d=3 by the greedy restarts
+    for g, d in ((complete(6), 2), (complete(8), 3)):
+        a = exists_ordering(g, d, CYCLIC)
+        b = exists_ordering(g, d, CYCLIC)
+        assert a.witness.sequence == b.witness.sequence
+        assert (a.nodes_explored, a.greedy_placements) == \
+            (b.nodes_explored, b.greedy_placements)
 
 
 def test_cyclic_symmetry_breaking_in_witness():
     res = exists_ordering(complete(6), 2, CYCLIC)
     seq = res.witness.sequence
     assert seq[0] == 0          # rotation: edge 0 opens
-    assert seq[1] < seq[-1]     # reflection: position 2 id below position m id
+    # no rule orders positions 2 and m: ascending-id order reaches this
+    # witness first, so position 2 holds the lower id
+    assert seq[1] < seq[-1]
 
 
 def test_budget_exceeded_by_nodes():
@@ -167,18 +173,61 @@ def _differential_hosts() -> list[Graph]:
     return hosts + [multiply(path(3), 2), multiply(cycle(3), 2)]
 
 
+def _best_by_enumeration(g: Graph, mode) -> int:
+    return max(matching_number(EdgeOrdering(g, perm, mode)).value
+               for perm in itertools.permutations(range(g.num_edges)))
+
+
 @pytest.mark.parametrize(
     "g", _differential_hosts(),
     ids=lambda g: f"n{g.order}-" + "-".join(f"{e.u}{e.v}" for e in g.edges))
 def test_solver_agrees_with_exhaustive_enumeration(g):
     m = g.num_edges
     for mode, exact in ((LINEAR, ms_exact), (CYCLIC, cms_exact)):
-        best = max(matching_number(EdgeOrdering(g, perm, mode)).value
-                   for perm in itertools.permutations(range(m)))
+        best = _best_by_enumeration(g, mode)
         assert exact(g).value == best, mode
         for d in range(1, m + 1):
             want = VALUE_FOUND if d <= best else NONEXISTENCE_CERTIFIED
             assert exists_ordering(g, d, mode).status == want, (mode, d)
+
+
+@pytest.mark.parametrize(
+    "g", _differential_hosts(),
+    ids=lambda g: f"n{g.order}-" + "-".join(f"{e.u}{e.v}" for e in g.edges))
+def test_greedy_restarts_yield_only_checked_witnesses(g):
+    # the DFS of these hosts ends before its first checkpoint, so the
+    # differential test above never runs the heuristic: drive it directly
+    m = g.num_edges
+    compat = _compat_masks(g)
+    for mode in (LINEAR, CYCLIC):
+        best = _best_by_enumeration(g, mode)
+        for d in range(1, m + 1):
+            gen = _greedy_restarts(g, d, mode == CYCLIC, compat)
+            found = [s for s in itertools.islice(gen, 4 * _GREEDY_SLICE) if s]
+            # every reachable target is met within four slices on this corpus
+            assert bool(found) == (d <= best), (mode, d)
+            for seq in found:
+                assert sorted(seq) == list(range(m))
+                assert matching_number(EdgeOrdering(g, seq, mode)).value >= d
+                assert mode == LINEAR or seq[0] == 0
+
+
+def test_k9_cyclic_d3_found_by_the_greedy_restarts():
+    res = exists_ordering(complete(9), 3, CYCLIC, SolveBudget(500_000))
+    assert res.status == VALUE_FOUND
+    assert matching_number(res.witness).value >= 3
+    assert res.witness.sequence[0] == 0
+    # found at a checkpoint, with at most one slice per 4,096 DFS nodes
+    assert 0 < res.greedy_placements <= res.nodes_explored // 32
+    assert res.nodes_explored < 500_000
+
+
+def test_refutation_runs_the_heuristic_without_moving_its_count():
+    # K7 cyclic d=3 has no witness: every checkpoint runs a full slice
+    res = exists_ordering(complete(7), 3, CYCLIC)
+    assert res.status == NONEXISTENCE_CERTIFIED
+    assert res.nodes_explored == 39_341
+    assert res.greedy_placements == (res.nodes_explored // 4096) * _GREEDY_SLICE
 
 
 @pytest.mark.parametrize("solve,host,nodes", [
@@ -187,7 +236,10 @@ def test_solver_agrees_with_exhaustive_enumeration(g):
     (cms_exact, lambda: complete(7), 39_426),
     (cms_exact, lambda: complete_bipartite(5, 5), 4_876),
     (cms_exact, lambda: multiply(complete(7), 2), 69_244),
-], ids=["ms-K5_5", "ms-circulant3_6", "cms-K7", "cms-K5_5", "cms-2K7"])
+    (ms_exact, lambda: complete(8), 9_584),
+    (cms_exact, lambda: complete(8), 12_484),
+], ids=["ms-K5_5", "ms-circulant3_6", "cms-K7", "cms-K5_5", "cms-2K7",
+        "ms-K8", "cms-K8"])
 def test_node_counts_pinned(solve, host, nodes):
     # counts of the reference search: a change of search order shows here
     assert solve(host()).nodes_explored == nodes
