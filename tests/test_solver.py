@@ -11,7 +11,8 @@ from matchseq import (BUDGET_EXCEEDED, CYCLIC, LINEAR, NONEXISTENCE_CERTIFIED,
 from matchseq.catalog import _canonical_edge_subsets
 from matchseq.errors import InvalidTarget
 from matchseq.graphs import Graph, _graph_from_pairs
-from matchseq.solver import _GREEDY_SLICE, _compat_masks, _greedy_restarts
+from matchseq.solver import (_GREEDY_SCANS, _GREEDY_SLICE, _compat_masks,
+                             _greedy_restarts)
 
 
 def test_k5_cyclic_d2_nonexistence():
@@ -203,13 +204,23 @@ def test_greedy_restarts_yield_only_checked_witnesses(g):
         best = _best_by_enumeration(g, mode)
         for d in range(1, m + 1):
             gen = _greedy_restarts(g, d, mode == CYCLIC, compat)
-            found = [s for s in itertools.islice(gen, 4 * _GREEDY_SLICE) if s]
+            found = [s for _, s in itertools.islice(gen, 4) if s]
             # every reachable target is met within four slices on this corpus
             assert bool(found) == (d <= best), (mode, d)
             for seq in found:
                 assert sorted(seq) == list(range(m))
                 assert matching_number(EdgeOrdering(g, seq, mode)).value >= d
                 assert mode == LINEAR or seq[0] == 0
+
+
+def test_greedy_slice_stops_at_the_scan_limit():
+    # K60 has 1,770 edges: scoring position 1 spans two slices, and each
+    # slice stops after _GREEDY_SCANS candidates
+    g = complete(60)
+    gen = _greedy_restarts(g, 3, False, _compat_masks(g))
+    assert _GREEDY_SCANS < g.num_edges
+    assert next(gen) == (0, None)
+    assert next(gen) == (1, None)
 
 
 def test_k9_cyclic_d3_found_by_the_greedy_restarts():
