@@ -20,7 +20,7 @@ from .errors import InvalidFamilyParams, NoKnownFormula
 from .graphs import (Graph, _graph_from_pairs, attach_pendants, degrees,
                      is_connected, is_tree, max_matching_size, multiply)
 from .orderings import LINEAR, Mode, matching_number
-from .solver import VALUE_FOUND, SolveBudget, cms_exact, ms_exact
+from .solver import SolveBudget, cms_exact, ms_exact
 
 
 @dataclass(frozen=True)
@@ -123,8 +123,7 @@ def _run_case(family: str, params: tuple[int, ...], mode: Mode,
     if ordering.length <= exact_up_to_edges:
         solve = ms_exact if mode == LINEAR else cms_exact
         res = solve(ordering.graph, budget)
-        nodes = res.nodes_explored
-        exact = res.value if res.status == VALUE_FOUND else None
+        nodes, exact = res.nodes_explored, res.value
     passed = constructed == pred.value and (exact is None or exact == pred.value)
     return VerificationRow(family, params, mode, pred.value, constructed, exact,
                            passed, pred.provenance,
@@ -183,12 +182,8 @@ def pendant_lemma_check(tree: Graph, vertex: int | None = None,
     if vertex is None:
         deg = degrees(tree)
         vertex = max(range(n), key=lambda v: (deg[v], -v))
-    linear_host = attach_pendants(tree, vertex, n + 1)
-    cyclic_host = attach_pendants(tree, vertex, n + 2)
-    res_lin = ms_exact(linear_host, budget)
-    res_cyc = cms_exact(cyclic_host, budget)
-    lin_val = res_lin.value if res_lin.status == VALUE_FOUND else None
-    cyc_val = res_cyc.value if res_cyc.status == VALUE_FOUND else None
+    lin_val = ms_exact(attach_pendants(tree, vertex, n + 1), budget).value
+    cyc_val = cms_exact(attach_pendants(tree, vertex, n + 2), budget).value
     return PendantLemmaReport(n, vertex, n + 1, lin_val, n + 2, cyc_val,
                               lin_val == 1 and cyc_val == 1)
 
@@ -219,16 +214,11 @@ def explore_q1(g: Graph, k_max: int, budget: SolveBudget = SolveBudget()) -> Q1R
     rows = []
     for k in range(1, k_max + 1):
         gk = multiply(g, k)
-        res_ms = ms_exact(gk, budget)
-        res_cms = cms_exact(gk, budget)
-        resolved = res_ms.status == VALUE_FOUND and res_cms.status == VALUE_FOUND
-        rows.append(Q1Row(
-            k,
-            res_ms.value if res_ms.status == VALUE_FOUND else None,
-            res_cms.value if res_cms.status == VALUE_FOUND else None,
-            resolved,
-            (res_ms.value == p) if res_ms.status == VALUE_FOUND else None,
-            (res_cms.value == p) if res_cms.status == VALUE_FOUND else None))
+        ms = ms_exact(gk, budget).value
+        cms = cms_exact(gk, budget).value
+        rows.append(Q1Row(k, ms, cms, ms is not None and cms is not None,
+                          None if ms is None else ms == p,
+                          None if cms is None else cms == p))
     return Q1Result(p, tuple(rows))
 
 
@@ -310,15 +300,11 @@ def explore_q2(n_max: int, budget: SolveBudget = SolveBudget(),
                                     [(relabel[a], relabel[b]) for a, b in pair_list])
             if not is_connected(sub):
                 continue
-        res_ms = ms_exact(g, budget)
-        res_cms = cms_exact(g, budget)
-        resolved = res_ms.status == VALUE_FOUND and res_cms.status == VALUE_FOUND
+        ms = ms_exact(g, budget).value
+        cms = cms_exact(g, budget).value
+        resolved = ms is not None and cms is not None
         partial = partial or not resolved
-        rows.append(Q2Row(
-            tuple(pair_list),
-            res_ms.value if res_ms.status == VALUE_FOUND else None,
-            res_cms.value if res_cms.status == VALUE_FOUND else None,
-            resolved))
+        rows.append(Q2Row(tuple(pair_list), ms, cms, resolved))
     return Q2Result(n_max, tuple(rows), partial)
 
 
@@ -337,9 +323,6 @@ class Q3Result:
 
 def explore_q3(g: Graph, budget: SolveBudget = SolveBudget()) -> Q3Result:
     """Compare cms(2G) with ms(G), both exact."""
-    res_ms = ms_exact(g, budget)
-    res_cms = cms_exact(multiply(g, 2), budget)
-    resolved = res_ms.status == VALUE_FOUND and res_cms.status == VALUE_FOUND
-    return Q3Result(res_ms.value if res_ms.status == VALUE_FOUND else None,
-                    res_cms.value if res_cms.status == VALUE_FOUND else None,
-                    resolved)
+    ms = ms_exact(g, budget).value
+    cms = cms_exact(multiply(g, 2), budget).value
+    return Q3Result(ms, cms, ms is not None and cms is not None)

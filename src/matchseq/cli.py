@@ -54,9 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--mode", required=True, choices=list(orderings.MODES))
     s.add_argument("--target", type=int,
                    help="decide existence of an ordering with value >= target")
-    s.add_argument("--budget-seconds", type=float, default=300.0)
-    s.add_argument("--single-thread", action="store_true",
-                   help="force sequential search (always on; kept for scripts)")
+    s.add_argument("--budget-seconds", type=_positive_seconds, default=300.0)
 
     v = sub.add_parser("verify", help="constructions vs formulas vs solver")
     v.add_argument("--max-complete", type=int, default=8)
@@ -70,8 +68,18 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--k-max", type=int, default=2, help="q1: test kG for k <= k-max")
     e.add_argument("--max-n", type=int, default=5, help="q2: vertex bound")
     e.add_argument("--connected-only", action="store_true", help="q2 filter")
-    e.add_argument("--budget-seconds", type=float, default=300.0)
+    e.add_argument("--budget-seconds", type=_positive_seconds, default=300.0)
     return top
+
+
+def _positive_seconds(text: str) -> float:
+    """The type of the --budget-seconds flags: a number above 0, not NaN."""
+    try:
+        if float(text) > 0:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
 
 
 def _read_graph(path: str) -> graphs.Graph:

@@ -1,19 +1,27 @@
 """Exact decision and optimization of ms/cms by pruned backtracking.
 
-``exists_ordering`` places edges into positions 1..m depth-first, in one
-loop over an explicit stack that holds the untried candidates of each
-open position, so the depth of the search is not bounded by Python's
-recursion limit.  A candidate for position p must be non-adjacent to the
-edges at positions p-d+1 .. p-1; in cyclic mode the last d-1 positions
-are additionally checked against the opening ones.  Adjacency is tested
-through per-edge compatibility bitmasks, built once from per-vertex
-incidence masks, so each node is a handful of integer ANDs.
+Every exact solve runs through one budgeted search core, ``_search``, which
+decides one target d.  ``exists_ordering`` validates and calls it once.
+``ms_exact``/``cms_exact`` validate and build the compat masks once, then
+call it for d = ν, ν-1, ... (ν the maximum-matching bound) under one
+absolute deadline, each d getting the node budget still left, possibly 0.
+So a node-budget hit reports exactly ``max_nodes + 1`` nodes in total.
+
+The core places edges into positions 1..m depth-first, in one loop over an
+explicit stack of the untried candidates of each open position, so the
+depth of the search is not bounded by Python's recursion limit.  A
+candidate for position p must be non-adjacent to the edges at positions
+p-d+1 .. p-1; in cyclic mode the last d-1 positions are additionally
+checked against the opening ones.  Adjacency is tested through per-edge
+compatibility bitmasks, built from per-vertex incidence masks, so each
+node is a handful of integer ANDs.
 
 Symmetry breaking, cyclic mode only, and rotation only: position 1 is
 pinned to edge id 0.  The depth-first search tries candidates in ascending
 edge id.  Its find side is heavy-tailed under that fixed order (K8 linear
-d=3 took 759,509 nodes), so every 4,096th node, right after the time
-budget is tested, runs one slice of a greedy-restart generator.  A slice
+d=3 took 759,509 nodes), so every 4,096th node of each d's search (which
+counts from 0), right after the time budget is tested, runs one slice of
+a greedy-restart generator, a fresh one per d.  A slice
 ends after 128 placements (at most 1/32 of the DFS nodes) or 1,024 scored
 candidates, whichever comes first, so it stays a small share of the
 stride's time on dense hosts too (K400: 7.6 ms per slice against 0.34 s
@@ -39,7 +47,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import InvalidTarget
-from .graphs import Graph, max_matching_size
+from .graphs import Graph, degrees, max_matching_size
 from .orderings import CYCLIC, LINEAR, EdgeOrdering, Mode, matching_number
 
 VALUE_FOUND = "value_found"
@@ -58,7 +66,7 @@ class SolveBudget:
     max_seconds: float = 300.0
 
     def __post_init__(self):
-        if self.max_nodes <= 0 or self.max_seconds <= 0:
+        if not (self.max_nodes > 0 and self.max_seconds > 0):  # NaN fails too
             raise ValueError("budget limits must be positive")
 
 
@@ -102,12 +110,19 @@ def exists_ordering(g: Graph, d: int, mode: Mode,
         raise InvalidTarget(f"target d={d} outside [1, {m}]")
     if mode not in (LINEAR, CYCLIC):
         raise InvalidTarget(f"bad mode {mode!r}")
+    return _search(g, d, mode, _compat_masks(g), budget.max_nodes,
+                   time.perf_counter() + budget.max_seconds)
 
-    compat = _compat_masks(g)
+
+def _search(g: Graph, d: int, mode: Mode, compat: list[int], max_nodes: int,
+            deadline: float) -> SolveResult:
+    """Decide target d on validated input.  Stops with budget_exceeded at
+    node max_nodes + 1, or at the first time check past ``deadline``, a
+    ``time.perf_counter`` value."""
+    m = g.num_edges
     free = (1 << m) - 1
     cyclic = mode == CYCLIC
     lookback = d - 1
-    max_nodes = budget.max_nodes
 
     seq: list[int] = []
     stack: list[int] = []  # untried candidates of positions 1..len(seq)
@@ -119,7 +134,6 @@ def exists_ordering(g: Graph, d: int, mode: Mode,
     greedy = None  # started at the first checkpoint
     placed = 0
     t0 = time.perf_counter()
-    deadline = t0 + budget.max_seconds
 
     while cand or seq:
         if not cand:  # position exhausted: backtrack
@@ -174,7 +188,7 @@ def _allowed(seq: list[int], free: int, compat: list[int], d: int,
 
     A candidate must be compatible with the last d-1 positions and, in
     cyclic mode, with the opening positions it wraps onto.  The DFS of
-    ``exists_ordering`` applies the same rule inline.
+    ``_search`` applies the same rule inline.
     """
     depth = len(seq)
     cand = free
@@ -198,15 +212,12 @@ def _greedy_restarts(g: Graph, d: int, cyclic: bool, compat: list[int]):
     (edge 0 opens cyclic sequences) whose two endpoints have the most
     unplaced edges, ties broken by a fixed-seed ``random.Random``.  A
     restart with no candidate left is dropped and the next one begins.
-    Finished sequences are not checked here; ``exists_ordering``
-    re-checks them with ``matching_number`` like any DFS witness.
+    Finished sequences are not checked here; ``_search`` re-checks them
+    with ``matching_number`` like any DFS witness.
     """
     m = g.num_edges
     ends = [(e.u, e.v) for e in g.edges]
-    degree = [0] * g.order
-    for u, v in ends:
-        degree[u] += 1
-        degree[v] += 1
+    degree = degrees(g)
     rand = random.Random(_GREEDY_SEED).random
     full = (1 << m) - 1
     placed = scanned = 0
@@ -275,26 +286,21 @@ def _exact(g: Graph, mode: Mode, budget: SolveBudget) -> SolveResult:
     m = g.num_edges
     if m == 0:
         raise InvalidTarget("graph has no edges")
-    upper = min(max_matching_size(g), m)
     t0 = time.perf_counter()
+    deadline = t0 + budget.max_seconds
+    compat = _compat_masks(g)
     nodes = placed = 0
-    hist: list[int] = [0] * m
+    hist = [0] * m
     certified: int | None = None
-    for d in range(upper, 1, -1):
-        remaining = SolveBudget(
-            max(1, budget.max_nodes - nodes),
-            max(1e-9, budget.max_seconds - (time.perf_counter() - t0)))
-        res = exists_ordering(g, d, mode, remaining)
+    for d in range(max_matching_size(g), 1, -1):
+        res = _search(g, d, mode, compat, budget.max_nodes - nodes, deadline)
         nodes += res.nodes_explored
         placed += res.greedy_placements
-        for i, c in enumerate(res.depth_histogram):
-            hist[i] += c
-        if res.status == VALUE_FOUND:
-            return SolveResult(VALUE_FOUND, d, res.witness, nodes, tuple(hist),
-                               time.perf_counter() - t0, greedy_placements=placed)
-        if res.status == BUDGET_EXCEEDED:
-            return SolveResult(BUDGET_EXCEEDED, None, None, nodes, tuple(hist),
-                               time.perf_counter() - t0, certified_upper=certified,
+        hist = [a + b for a, b in zip(hist, res.depth_histogram)]
+        if res.status != NONEXISTENCE_CERTIFIED:  # found, or out of budget
+            return SolveResult(res.status, res.value, res.witness, nodes,
+                               tuple(hist), time.perf_counter() - t0,
+                               certified_upper=certified if res.value is None else None,
                                greedy_placements=placed)
         certified = d
     # every d >= 2 refuted (or the matching bound was 1): any ordering attains 1

@@ -183,7 +183,7 @@ def test_solve_k5_cyclic_value(capsys, tmp_path):
 def test_solve_k5_cyclic_target2_nonexistence(capsys, tmp_path):
     f = _write_graph(tmp_path, complete(5))
     code, out, _ = run_cli(capsys, "solve", "--graph", str(f), "--mode", "cyclic",
-                           "--target", "2", "--single-thread")
+                           "--target", "2")
     assert code == 0
     payload = json.loads(out)
     assert payload["status"] == "nonexistence_certified"
@@ -249,6 +249,23 @@ def test_solve_bad_target_exit2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "solve", "--graph", str(f), "--mode", "linear",
                            "--target", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--mode", "cyclic", "--budget-seconds", "0"),
+    ("solve", "--mode", "linear", "--budget-seconds", "nan"),
+    ("explore", "q2", "--budget-seconds", "-1"),
+    ("explore", "q3", "--budget-seconds", "nan"),
+], ids=["solve-0", "solve-nan", "explore-q2-negative", "explore-q3-nan"])
+def test_bad_budget_seconds_exit2(capsys, tmp_path, argv):
+    # a usage error, not a traceback from SolveBudget or a run without a deadline
+    f = _write_graph(tmp_path, complete(5))
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--graph", str(f)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --budget-seconds: must be a positive number" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,45 @@ def test_budget_propagates_with_bracket():
         assert res.certified_upper == 3
 
 
+def test_exact_node_budget_is_a_total_cap():
+    # d=3 is refuted in exactly 39,341 nodes; d=2 gets the 0 nodes left and
+    # stops at its first node, so the total is max_nodes + 1
+    res = cms_exact(complete(7), SolveBudget(max_nodes=39_341))
+    assert res.status == BUDGET_EXCEEDED
+    assert res.nodes_explored == 39_342
+    assert res.certified_upper == 3
+    assert sum(res.depth_histogram) == res.nodes_explored
+    res = exists_ordering(complete(6), 3, CYCLIC, SolveBudget(max_nodes=5))
+    assert (res.status, res.nodes_explored) == (BUDGET_EXCEEDED, 6)
+
+
+@pytest.mark.parametrize("solve,status", [
+    (lambda: exists_ordering(complete(5), 2, CYCLIC), NONEXISTENCE_CERTIFIED),
+    (lambda: exists_ordering(complete(6), 3, CYCLIC, SolveBudget(max_nodes=5)),
+     BUDGET_EXCEEDED),
+    (lambda: exists_ordering(complete(7), 3, CYCLIC, SolveBudget(max_seconds=1e-9)),
+     BUDGET_EXCEEDED),
+    (lambda: ms_exact(complete(8), SolveBudget(max_nodes=100)), BUDGET_EXCEEDED),
+    (lambda: cms_exact(complete(7), SolveBudget(max_nodes=39_341)), BUDGET_EXCEEDED),
+    (lambda: cms_exact(complete(7), SolveBudget(max_seconds=1e-9)), BUDGET_EXCEEDED),
+], ids=["exists-refuted", "exists-nodes", "exists-seconds", "ms-nodes",
+        "cms-nodes-after-refutation", "cms-seconds"])
+def test_undecided_results_carry_no_value(solve, status):
+    # callers read decided answers from .value alone
+    res = solve()
+    assert res.status == status
+    assert res.value is None and res.witness is None
+
+
+@pytest.mark.parametrize("limits", [
+    dict(max_nodes=0), dict(max_seconds=0.0), dict(max_seconds=-1.0),
+    dict(max_seconds=float("nan")), dict(max_nodes=float("nan")),
+])
+def test_budget_limits_must_be_positive(limits):
+    with pytest.raises(ValueError):
+        SolveBudget(**limits)
+
+
 @pytest.mark.parametrize("d", [0, 100])
 def test_invalid_targets(d):
     with pytest.raises(InvalidTarget):
