@@ -59,6 +59,13 @@ def predicted(family: str | FamilySpec, mode: Mode,
 
 @dataclass(frozen=True)
 class VerificationRow:
+    """One checked instance.
+
+    ``passed`` holds when every value computed agrees with the prediction
+    and the exact cross-check, if one was due, finished.  ``unresolved``
+    marks a row with no disagreement whose exact solve ran out of budget.
+    """
+
     family: str
     params: tuple[int, ...]
     mode: Mode
@@ -69,10 +76,16 @@ class VerificationRow:
     citation: str
     runtime_ms: float
     nodes: int
+    unresolved: bool = False
 
     @property
     def case(self) -> str:
         return f"{self.family}({','.join(map(str, self.params))}) {self.mode}"
+
+    @property
+    def status(self) -> str:
+        """``pass``, ``fail`` or ``unresolved``."""
+        return "pass" if self.passed else "unresolved" if self.unresolved else "fail"
 
     def to_json_obj(self) -> dict:
         return {
@@ -80,11 +93,14 @@ class VerificationRow:
             "predicted": self.predicted,
             "constructed": self.constructed,
             "exact": self.exact,
-            "status": "pass" if self.passed else "fail",
+            "status": self.status,
             "citation": self.citation,
             "runtime_ms": round(self.runtime_ms, 3),
             "nodes": self.nodes,
         }
+
+
+_STATUS_TEXT = {"pass": "pass", "fail": "FAIL", "unresolved": "UNRES"}
 
 
 @dataclass(frozen=True)
@@ -94,6 +110,16 @@ class VerificationReport:
     @property
     def all_pass(self) -> bool:
         return all(r.passed for r in self.rows)
+
+    @property
+    def failed(self) -> bool:
+        """True iff some row's values disagree with the prediction."""
+        return any(r.status == "fail" for r in self.rows)
+
+    @property
+    def unresolved(self) -> int:
+        """Rows whose exact cross-check ran out of budget."""
+        return sum(r.unresolved for r in self.rows)
 
     def to_json_obj(self) -> dict:
         return {"all_pass": self.all_pass,
@@ -106,9 +132,14 @@ class VerificationReport:
             exact = "-" if r.exact is None else str(r.exact)
             lines.append(
                 f"{r.case:<28} {r.predicted:>4} {r.constructed:>5} {exact:>5} "
-                f"{'pass' if r.passed else 'FAIL':<6} {r.runtime_ms:>8.1f} {r.nodes:>9}")
-        lines.append(f"{len(self.rows)} cases, "
-                     f"{'all pass' if self.all_pass else 'FAILURES PRESENT'}")
+                f"{_STATUS_TEXT[r.status]:<6} {r.runtime_ms:>8.1f} {r.nodes:>9}")
+        if self.failed:
+            verdict = "FAILURES PRESENT"
+        elif self.unresolved:
+            verdict = f"{self.unresolved} UNRESOLVED (exact solve out of budget)"
+        else:
+            verdict = "all pass"
+        lines.append(f"{len(self.rows)} cases, {verdict}")
         return "\n".join(lines) + "\n"
 
 
@@ -120,14 +151,17 @@ def _run_case(family: str, params: tuple[int, ...], mode: Mode,
     constructed = matching_number(ordering).value
     exact = None
     nodes = 0
-    if ordering.length <= exact_up_to_edges:
+    cross_checked = ordering.length <= exact_up_to_edges
+    if cross_checked:
         solve = ms_exact if mode == LINEAR else cms_exact
         res = solve(ordering.graph, budget)
         nodes, exact = res.nodes_explored, res.value
-    passed = constructed == pred.value and (exact is None or exact == pred.value)
+    agrees = constructed == pred.value and exact in (None, pred.value)
+    out_of_budget = cross_checked and exact is None  # ms, cms >= 1 always exist
     return VerificationRow(family, params, mode, pred.value, constructed, exact,
-                           passed, pred.provenance,
-                           (time.perf_counter() - started) * 1000.0, nodes)
+                           agrees and not out_of_budget, pred.provenance,
+                           (time.perf_counter() - started) * 1000.0, nodes,
+                           agrees and out_of_budget)
 
 
 def verify_families(max_complete: int = 8, max_cycle: int = 16,

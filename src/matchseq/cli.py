@@ -11,7 +11,8 @@ Subcommands::
                q3 (doubled graphs)
 
 Exit codes: 0 success/pass, 1 verification failure, 2 input error,
-3 budget exhaustion.
+3 budget exhaustion (a ``solve`` out of budget, an ``explore`` result with
+unsolved cells, or a ``verify`` run with no failure but an unresolved row).
 """
 
 from __future__ import annotations
@@ -157,7 +158,9 @@ def _cmd_verify(args) -> int:
         with open(args.json_out, "w", encoding="utf-8") as fh:
             json.dump(report.to_json_obj(), fh, indent=2)
             fh.write("\n")
-    return 0 if report.all_pass else 1
+    if report.failed:
+        return 1
+    return 3 if report.unresolved else 0
 
 
 def _cmd_explore(args) -> int:
@@ -171,6 +174,7 @@ def _cmd_explore(args) -> int:
         for row in result.rows:
             print(f"{row.k:>3} {_cell(row.ms_value):>7} {_cell(row.cms_value):>8} "
                   f"{_cell(row.ms_reached):>6} {_cell(row.cms_reached):>7}")
+        resolved = all(row.resolved for row in result.rows)
     elif args.question == "q2":
         result = catalog.explore_q2(args.max_n, budget,
                                     connected_only=args.connected_only)
@@ -180,12 +184,14 @@ def _cmd_explore(args) -> int:
         for row in result.witnesses:
             print(f"  gap {row.gap}: ms={row.ms_value} cms={row.cms_value} "
                   f"edges={list(row.edges)}")
+        resolved = not result.partial
     else:
         result = catalog.explore_q3(_read_graph(args.graph), budget)
         print(f"ms(G)   = {_cell(result.ms_single)}")
         print(f"cms(2G) = {_cell(result.cms_doubled)}")
         print(f"equal   = {_cell(result.equal)}")
-    return 0
+        resolved = result.resolved
+    return 0 if resolved else 3
 
 
 def _cell(x) -> str:

@@ -40,10 +40,11 @@ from .orderings import (CYCLIC, LINEAR, EdgeOrdering, Mode, matching_number,
 
 def _ids_for(g: Graph, pairs: Sequence[tuple[int, int]]) -> tuple[int, ...]:
     """Edge ids for ``pairs``: the j-th listing of a pair gets its j-th copy."""
+    index = g._pair_index
     listed = [0] * g.num_edges  # listings so far, by the pair's first-copy id
     out = []
     for a, b in pairs:
-        ids = g.edge_ids_between(a, b)
+        ids = index.get((a, b) if a < b else (b, a))
         if not ids:
             raise ValueError(f"no edge {{{a},{b}}} in graph")
         j = listed[ids[0]]

@@ -1,10 +1,17 @@
 """Graph values, graph builders, and matching utilities.
 
-Graphs are immutable: a vertex count ``order`` plus a tuple of edges with
-dense integer ids (``edges[i].id == i``).  Endpoints are stored normalized
-``u < v``.  Loops are always rejected; parallel edges are permitted only
-when ``allow_parallel`` is set, which is needed solely for edge-multiplied
-multigraphs.
+Graphs are immutable: a vertex count ``order`` plus a tuple of edges.
+Constructing a :class:`Graph` validates it; a graph is accepted iff
+
+* ``order >= 1``;
+* edge ids are dense: ``edges[i].id == i``;
+* endpoints are normalized and in range: ``0 <= u < v < order``, so loops
+  are always rejected;
+* no vertex pair appears twice, unless ``allow_parallel`` is set, which is
+  needed solely for edge-multiplied multigraphs.
+
+A rejected graph raises ``ValueError`` naming its first faulty edge in id
+order (the first edge whose id, endpoints or pair breaks a rule above).
 
 Edge-list text format::
 
@@ -18,6 +25,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from operator import eq, itemgetter, lt
 from typing import Iterable, NamedTuple
 
 from .errors import FormatError, InvalidFamilyParams, InvalidVertex
@@ -42,6 +50,22 @@ class Graph:
     def __post_init__(self):
         if self.order < 1:
             raise ValueError(f"graph order must be >= 1, got {self.order}")
+        edges = self.edges
+        if not edges:
+            return
+        # Each rule as one pass over the edges; only a graph that breaks one
+        # runs the per-edge loop, which names the first faulty edge.
+        ids, us, vs = itemgetter(0), itemgetter(1), itemgetter(2)
+        if not (all(map(eq, map(ids, edges), itertools.count()))
+                and all(map(lt, map(us, edges), map(vs, edges)))
+                and min(map(us, edges)) >= 0
+                and max(map(vs, edges)) < self.order
+                and (self.allow_parallel
+                     or len(set(map(itemgetter(1, 2), edges))) == len(edges))):
+            self._raise_first_fault()
+
+    def _raise_first_fault(self):
+        """The per-edge check: raise for the first faulty edge in id order."""
         seen: set[tuple[int, int]] = set()
         for i, e in enumerate(self.edges):
             if e.id != i:
@@ -58,20 +82,24 @@ class Graph:
 
     @cached_property
     def _pair_index(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        index: dict[tuple[int, int], list[int]] = {}
-        for e in self.edges:
-            index.setdefault((e.u, e.v), []).append(e.id)
-        return {k: tuple(v) for k, v in index.items()}
+        """``(u, v)`` with ``u < v`` -> ids of the edges joining u and v,
+        ascending."""
+        index: dict[tuple[int, int], tuple[int, ...]] = {}
+        get = index.get
+        for i, u, v in self.edges:
+            index[u, v] = get((u, v), ()) + (i,)
+        return index
 
     def edge_ids_between(self, a: int, b: int) -> tuple[int, ...]:
         """Ids of all edges with endpoints {a, b} (several when parallel)."""
-        u, v = min(a, b), max(a, b)
-        return self._pair_index.get((u, v), ())
+        return self._pair_index.get((a, b) if a < b else (b, a), ())
 
 
 def _graph_from_pairs(order: int, pairs: Iterable[tuple[int, int]],
                       allow_parallel: bool = False) -> Graph:
-    edges = tuple(Edge(i, min(a, b), max(a, b)) for i, (a, b) in enumerate(pairs))
+    new = tuple.__new__  # Edge(i, a, b) without the namedtuple's Python-level __new__
+    edges = tuple([new(Edge, (i, a, b) if a < b else (i, b, a))
+                   for i, (a, b) in enumerate(pairs)])
     return Graph(order, edges, allow_parallel)
 
 
@@ -347,11 +375,12 @@ def read_edge_list(text: str) -> Graph:
         raise FormatError(f"expected {m} edge lines, found {len(body)}", lineno)
     pairs = []
     for lineno, row in body:
-        bits = row.split()
-        if len(bits) != 2:
-            raise FormatError("edge line must be 'u v'", lineno)
         try:
-            u, v = int(bits[0]), int(bits[1])
+            u_s, v_s = row.split()
+        except ValueError:
+            raise FormatError("edge line must be 'u v'", lineno) from None
+        try:
+            u, v = int(u_s), int(v_s)
         except ValueError:
             raise FormatError("edge endpoints must be integers", lineno) from None
         if u == v:

@@ -198,7 +198,11 @@ def _edge_token(o: EdgeOrdering, eid: int) -> str:
 
 
 def write_ordering(o: EdgeOrdering) -> str:
-    return " ".join(_edge_token(o, eid) for eid in o.sequence) + "\n"
+    if o.graph.allow_parallel:
+        tokens = [_edge_token(o, eid) for eid in o.sequence]
+    else:  # every pair is a single edge: the token is plain "u-v"
+        tokens = [f"{u}-{v}" for _, u, v in map(o.graph.edges.__getitem__, o.sequence)]
+    return " ".join(tokens) + "\n"
 
 
 def read_ordering(text: str, g: Graph, mode: Mode) -> EdgeOrdering:
@@ -206,16 +210,17 @@ def read_ordering(text: str, g: Graph, mode: Mode) -> EdgeOrdering:
     if len(tokens) != g.num_edges:
         raise FormatError(
             f"expected {g.num_edges} ordering tokens, found {len(tokens)}", 1)
+    index = g._pair_index
     seq = []
     for k, token in enumerate(tokens):
         body, _, copy = token.partition("#")
+        u_s, _, v_s = body.partition("-")
         try:
-            u_s, _, v_s = body.partition("-")
             u, v = int(u_s), int(v_s)
             j = int(copy) if copy else 0
         except ValueError:
             raise FormatError(f"bad ordering token {token!r} (index {k})", 1) from None
-        ids = g.edge_ids_between(u, v)
+        ids = index.get((u, v) if u < v else (v, u))
         if not ids:
             raise FormatError(f"token {token!r}: no edge {{{u},{v}}} in graph", 1)
         if not (0 <= j < len(ids)):

@@ -9,6 +9,7 @@ from matchseq import (CYCLIC, LINEAR, FamilySpec, complete,
                       predicted, random_tree, verify_families)
 from matchseq.errors import InvalidFamilyParams, NoKnownFormula
 from matchseq.graphs import Edge, Graph, complete_bipartite
+from matchseq.solver import SolveBudget
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +87,25 @@ def test_verify_small_ranges_all_pass():
     assert exact_rows, "small instances must get solver confirmation"
     for r in exact_rows:
         assert r.exact == r.predicted == r.constructed
+
+
+def test_verify_out_of_budget_rows_are_unresolved():
+    report = verify_families(max_complete=6, max_cycle=6, max_bipartite=3,
+                             max_circulant=3, doubled_ms=(2,), exact_up_to_edges=16,
+                             budget=SolveBudget(max_nodes=10))
+    unresolved = [r for r in report.rows if r.unresolved]
+    assert len(report.rows) == 35 and len(unresolved) == 12
+    for r in report.rows:
+        if r.unresolved:
+            assert r.exact is None and not r.passed and r.status == "unresolved"
+            assert r.constructed == r.predicted
+        else:  # finished cross-checks and rows with none keep their status
+            assert r.passed and r.status == "pass"
+    assert not report.all_pass and not report.failed and report.unresolved == 12
+    assert report.to_json_obj()["all_pass"] is False
+    text = report.to_text()
+    assert "all pass" not in text
+    assert text.endswith("35 cases, 12 UNRESOLVED (exact solve out of budget)\n")
 
 
 def test_verify_report_json_schema():

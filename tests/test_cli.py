@@ -6,7 +6,10 @@ import pytest
 
 from matchseq import (LINEAR, complete, cycle, matching_number_bruteforce, path,
                       read_edge_list, read_ordering, write_edge_list)
+from matchseq import catalog
 from matchseq.cli import main
+from matchseq.orderings import MatchingNumberReport
+from matchseq.solver import SolveBudget
 
 
 def run_cli(capsys, *argv):
@@ -287,6 +290,51 @@ def test_verify_default_ranges_all_pass(capsys):
     code, out, _ = run_cli(capsys, "verify")
     assert code == 0
     assert "120 cases, all pass" in out
+
+
+def _tiny_budget_verify(monkeypatch):
+    """Make ``verify`` run its exact solves at a 10-node budget."""
+    full = catalog.verify_families
+    monkeypatch.setattr(catalog, "verify_families", lambda **kw: full(
+        **kw, max_bipartite=3, max_circulant=3, doubled_ms=(2,),
+        budget=SolveBudget(max_nodes=10)))
+
+
+def test_verify_unresolved_rows_exit3(capsys, tmp_path, monkeypatch):
+    _tiny_budget_verify(monkeypatch)
+    json_out = tmp_path / "report.json"
+    code, out, _ = run_cli(capsys, "verify", "--max-complete", "6", "--max-cycle", "6",
+                           "--exact-up-to-edges", "16", "--json-out", str(json_out))
+    assert code == 3
+    assert "all pass" not in out
+    assert "12 UNRESOLVED" in out and " UNRES " in out
+    payload = json.loads(json_out.read_text())
+    assert payload["all_pass"] is False
+    statuses = [r["status"] for r in payload["rows"]]
+    assert statuses.count("unresolved") == 12
+    assert set(statuses) == {"pass", "unresolved"}
+
+
+def test_verify_failure_outranks_unresolved_exit1(capsys, monkeypatch):
+    _tiny_budget_verify(monkeypatch)
+    monkeypatch.setattr(catalog, "matching_number",
+                        lambda o: MatchingNumberReport(0, None))  # every row mismatches
+    code, out, _ = run_cli(capsys, "verify", "--max-complete", "6", "--max-cycle", "6",
+                           "--exact-up-to-edges", "16")
+    assert code == 1
+    assert "FAILURES PRESENT" in out
+
+
+@pytest.mark.parametrize("argv,shown", [
+    (("explore", "q1", "--k-max", "2"), "  1       ?        ?      ?       ?"),
+    (("explore", "q3"), "cms(2G) = ?"),
+    (("explore", "q2", "--max-n", "3"), "(PARTIAL: budget hit)"),
+], ids=["q1", "q3", "q2"])
+def test_explore_budget_hit_exit3(capsys, tmp_path, argv, shown):
+    graph = () if argv[1] == "q2" else ("--graph", str(_write_graph(tmp_path, complete(5))))
+    code, out, _ = run_cli(capsys, *argv, *graph, "--budget-seconds", "1e-9")
+    assert code == 3
+    assert shown in out  # what was computed is still printed
 
 
 def test_explore_q2(capsys):

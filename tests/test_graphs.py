@@ -290,3 +290,112 @@ def test_edge_list_errors_carry_line_numbers(text, bad_line):
 def test_edge_list_empty_file():
     with pytest.raises(FormatError):
         read_edge_list("# only comments\n")
+
+
+# ---------------------------------------------------------------------------
+# bulk validation and pair index against their per-edge references
+
+def _reference_fault(order: int, edges, allow_parallel: bool) -> str | None:
+    """Reference validation, the per-edge loop: the message for the first
+    faulty edge in id order, or None for a valid graph."""
+    seen = set()
+    for i, e in enumerate(edges):
+        if e.id != i:
+            return f"edge ids must be dense: edges[{i}].id == {e.id}"
+        if not (0 <= e.u < e.v < order):
+            return f"bad edge {e}: need 0 <= u < v < {order}"
+        if (e.u, e.v) in seen and not allow_parallel:
+            return f"duplicate edge {{{e.u},{e.v}}} in a simple graph"
+        seen.add((e.u, e.v))
+    return None
+
+
+def _inject(kind: str, order: int, edges: list, rng: random.Random) -> None:
+    """Put one fault of the given kind into ``edges`` in place."""
+    i = rng.randrange(len(edges))
+    e = edges[i]
+    if kind == "id":
+        edges[i] = Edge(rng.choice([x for x in range(-2, len(edges) + 2) if x != i]),
+                        e.u, e.v)
+    elif kind == "loop":
+        edges[i] = Edge(i, e.u, e.u)
+    elif kind == "swapped":
+        edges[i] = Edge(i, e.v, e.u)
+    elif kind == "negative":
+        edges[i] = Edge(i, -rng.randint(1, 3), e.v)
+    elif kind == "too_big":
+        edges[i] = Edge(i, e.u, order + rng.randint(0, 2))
+    else:  # "duplicate": repeat another edge's pair
+        j = rng.choice([x for x in range(len(edges)) if x != i])
+        edges[i] = Edge(i, edges[j].u, edges[j].v)
+
+
+_FAULTS = ("id", "loop", "swapped", "negative", "too_big", "duplicate")
+
+
+@pytest.mark.parametrize("allow_parallel", [False, True])
+def test_validation_agrees_with_per_edge_reference(allow_parallel):
+    rng = random.Random(2027 + allow_parallel)
+    accepted, rejected_by = 0, set()
+    for trial in range(1200):
+        order = rng.randint(3, 9)
+        pairs = list(itertools.combinations(range(order), 2))
+        chosen = rng.sample(pairs, rng.randint(2, len(pairs)))
+        edges = [Edge(i, a, b) for i, (a, b) in enumerate(chosen)]
+        kinds = [] if trial % 7 == 0 else \
+            [rng.choice(_FAULTS) for _ in range(rng.choice([1, 1, 1, 2]))]
+        for kind in kinds:
+            _inject(kind, order, edges, rng)
+        want = _reference_fault(order, edges, allow_parallel)
+        try:
+            Graph(order, tuple(edges), allow_parallel)
+        except ValueError as exc:
+            got = str(exc)
+        else:
+            got = None
+        assert got == want, (order, edges, allow_parallel)
+        accepted += want is None
+        if len(kinds) == 1 and want is not None:
+            rejected_by.add(kinds[0])
+    assert accepted
+    # parallel edges make a repeated pair the one fault that is not one
+    assert rejected_by == set(_FAULTS) - ({"duplicate"} if allow_parallel else set())
+
+
+def test_builders_make_edge_instances():
+    multi = multiply(cycle(4), 3)
+    hosts = [complete(6), complete_bipartite(2, 3), cycle(5), path(4), circulant3(4),
+             multi, attach_pendants(multi, 1, 2), attach_pendants(path(3), 0, 1),
+             random_tree(7, random.Random(5)), read_edge_list(write_edge_list(multi)),
+             _graph_from_pairs(4, [(3, 0), (2, 1), (1, 3)])]
+    for g in hosts:
+        assert all(type(e) is Edge for e in g.edges)
+
+
+def _reference_pair_index(g: Graph) -> dict:
+    index: dict = {}
+    for e in g.edges:
+        index.setdefault((e.u, e.v), []).append(e.id)
+    return {k: tuple(v) for k, v in index.items()}
+
+
+def _shuffled_multigraph_text(rng: random.Random) -> str:
+    n = rng.randint(2, 7)
+    pairs = [rng.sample(range(n), 2) for _ in range(rng.randint(1, 15))]
+    lines = [f"{n} {len(pairs)} multi"] + [f"{a} {b}" for a, b in pairs]
+    return "\n".join(lines) + "\n"
+
+
+def test_pair_index_agrees_with_reference_on_multigraphs():
+    rng = random.Random(77)
+    hosts = [multiply(complete(5), 3), multiply(path(4), 2),
+             attach_pendants(multiply(cycle(4), 2), 0, 3),
+             attach_pendants(complete(4), 2, 2)]
+    hosts += [read_edge_list(_shuffled_multigraph_text(rng)) for _ in range(40)]
+    for g in hosts:
+        want = _reference_pair_index(g)
+        assert g._pair_index == want
+        for (u, v), ids in want.items():
+            assert list(ids) == sorted(ids)  # copies in id order
+            assert g.edge_ids_between(u, v) == g.edge_ids_between(v, u) == ids
+        assert g.edge_ids_between(0, g.order) == ()

@@ -14,7 +14,7 @@ from matchseq import (CYCLIC, LINEAR, EdgeOrdering, FamilySpec,
                       write_ordering)
 from matchseq.errors import (FormatError, InvalidEdgeId, InvalidOrdering)
 from matchseq.graphs import Edge, Graph, _graph_from_pairs
-from matchseq.orderings import MODES, MatchingNumberReport
+from matchseq.orderings import MODES, MatchingNumberReport, _edge_token
 
 
 def _k44_paper_ordering(fixtures_dir, mode=LINEAR):
@@ -289,6 +289,37 @@ def test_ordering_file_roundtrip_multigraph():
     text = write_ordering(o)
     assert "#" in text  # parallel copies must be disambiguated
     assert read_ordering(text, g, CYCLIC).sequence == o.sequence
+
+
+@st.composite
+def simple_graph_orderings(draw):
+    """Random simple graphs, each pair listed in either orientation."""
+    n = draw(st.integers(2, 8))
+    pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), 2))),
+                          min_size=1, max_size=20, unique=True))
+    flips = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = _graph_from_pairs(n, [(b, a) if f else (a, b) for (a, b), f in zip(pairs, flips)])
+    seq = draw(st.permutations(range(g.num_edges)))
+    return EdgeOrdering(g, tuple(seq), draw(st.sampled_from(MODES)))
+
+
+@given(st.one_of(orderings(), simple_graph_orderings(), multigraph_orderings()))
+@settings(max_examples=200, deadline=None)
+def test_ordering_file_roundtrip_property(o):
+    text = write_ordering(o)
+    back = read_ordering(text, o.graph, o.mode)
+    assert back.sequence == o.sequence and back.mode == o.mode
+
+
+@given(st.one_of(orderings().filter(lambda o: not o.graph.allow_parallel),
+                 simple_graph_orderings()))
+@settings(max_examples=100, deadline=None)
+def test_simple_graph_tokens_match_edge_token(o):
+    text = write_ordering(o)
+    assert text == " ".join(_edge_token(o, eid) for eid in o.sequence) + "\n"
+    for eid, token in zip(o.sequence, text.split()):
+        e = o.graph.edges[eid]
+        assert token == f"{e.u}-{e.v}"
 
 
 @pytest.mark.parametrize("text", [
