@@ -61,9 +61,10 @@ def predicted(family: str | FamilySpec, mode: Mode,
 class VerificationRow:
     """One checked instance.
 
-    ``passed`` holds when every value computed agrees with the prediction
-    and the exact cross-check, if one was due, finished.  ``unresolved``
-    marks a row with no disagreement whose exact solve ran out of budget.
+    ``status`` is ``pass`` when every value computed agrees with the
+    prediction and the exact cross-check, if one was due, finished;
+    ``unresolved`` when nothing disagrees but the exact solve ran out of
+    budget; ``fail`` otherwise.
     """
 
     family: str
@@ -72,20 +73,22 @@ class VerificationRow:
     predicted: int
     constructed: int
     exact: int | None
-    passed: bool
+    status: str
     citation: str
     runtime_ms: float
     nodes: int
-    unresolved: bool = False
 
     @property
     def case(self) -> str:
         return f"{self.family}({','.join(map(str, self.params))}) {self.mode}"
 
     @property
-    def status(self) -> str:
-        """``pass``, ``fail`` or ``unresolved``."""
-        return "pass" if self.passed else "unresolved" if self.unresolved else "fail"
+    def passed(self) -> bool:
+        return self.status == "pass"
+
+    @property
+    def unresolved(self) -> bool:
+        return self.status == "unresolved"
 
     def to_json_obj(self) -> dict:
         return {
@@ -158,10 +161,10 @@ def _run_case(family: str, params: tuple[int, ...], mode: Mode,
         nodes, exact = res.nodes_explored, res.value
     agrees = constructed == pred.value and exact in (None, pred.value)
     out_of_budget = cross_checked and exact is None  # ms, cms >= 1 always exist
+    status = "fail" if not agrees else "unresolved" if out_of_budget else "pass"
     return VerificationRow(family, params, mode, pred.value, constructed, exact,
-                           agrees and not out_of_budget, pred.provenance,
-                           (time.perf_counter() - started) * 1000.0, nodes,
-                           agrees and out_of_budget)
+                           status, pred.provenance,
+                           (time.perf_counter() - started) * 1000.0, nodes)
 
 
 def verify_families(max_complete: int = 8, max_cycle: int = 16,
@@ -198,7 +201,10 @@ class PendantLemmaReport:
     linear_value: int | None
     cyclic_pendants: int
     cyclic_value: int | None
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.linear_value == 1 and self.cyclic_value == 1
 
 
 def pendant_lemma_check(tree: Graph, vertex: int | None = None,
@@ -218,21 +224,34 @@ def pendant_lemma_check(tree: Graph, vertex: int | None = None,
         vertex = max(range(n), key=lambda v: (deg[v], -v))
     lin_val = ms_exact(attach_pendants(tree, vertex, n + 1), budget).value
     cyc_val = cms_exact(attach_pendants(tree, vertex, n + 2), budget).value
-    return PendantLemmaReport(n, vertex, n + 1, lin_val, n + 2, cyc_val,
-                              lin_val == 1 and cyc_val == 1)
+    return PendantLemmaReport(n, vertex, n + 1, lin_val, n + 2, cyc_val)
 
 
 # ---------------------------------------------------------------------------
 # open-question explorers
+#
+# Each explorer's budget covers the whole call: it takes one deadline when
+# it starts, every exact solve gets the seconds left, and a cell whose turn
+# comes after the deadline stays None without solving.
+
+def _value_by(deadline: float, solve, g: Graph, budget: SolveBudget) -> int | None:
+    """solve(g).value under budget's node cap and the seconds left before
+    ``deadline``; None, without solving, once it has passed."""
+    left = deadline - time.perf_counter()
+    return solve(g, SolveBudget(budget.max_nodes, left)).value if left > 0 else None
+
 
 @dataclass(frozen=True)
 class Q1Row:
     k: int
     ms_value: int | None
     cms_value: int | None
-    resolved: bool
     ms_reached: bool | None
     cms_reached: bool | None
+
+    @property
+    def resolved(self) -> bool:
+        return self.ms_value is not None and self.cms_value is not None
 
 
 @dataclass(frozen=True)
@@ -244,14 +263,14 @@ class Q1Result:
 def explore_q1(g: Graph, k_max: int, budget: SolveBudget = SolveBudget()) -> Q1Result:
     """Exact ms/cms of kG for k = 1..k_max, flagging whether the matching
     number of g is reached."""
+    deadline = time.perf_counter() + budget.max_seconds
     p = max_matching_size(g)
     rows = []
     for k in range(1, k_max + 1):
         gk = multiply(g, k)
-        ms = ms_exact(gk, budget).value
-        cms = cms_exact(gk, budget).value
-        rows.append(Q1Row(k, ms, cms, ms is not None and cms is not None,
-                          None if ms is None else ms == p,
+        ms = _value_by(deadline, ms_exact, gk, budget)
+        cms = _value_by(deadline, cms_exact, gk, budget)
+        rows.append(Q1Row(k, ms, cms, None if ms is None else ms == p,
                           None if cms is None else cms == p))
     return Q1Result(p, tuple(rows))
 
@@ -261,7 +280,10 @@ class Q2Row:
     edges: tuple[tuple[int, int], ...]
     ms_value: int | None
     cms_value: int | None
-    resolved: bool
+
+    @property
+    def resolved(self) -> bool:
+        return self.ms_value is not None and self.cms_value is not None
 
     @property
     def gap(self) -> int | None:
@@ -319,11 +341,11 @@ def explore_q2(n_max: int, budget: SolveBudget = SolveBudget(),
     ms - cms gap with every extremal witness."""
     if n_max > 7:
         raise InvalidFamilyParams("explore_q2 enumerates up to 7 vertices")
-    t0 = time.perf_counter()
+    deadline = time.perf_counter() + budget.max_seconds
     rows = []
     partial = False
     for pair_list in _canonical_edge_subsets(n_max):
-        if time.perf_counter() - t0 > budget.max_seconds:
+        if time.perf_counter() > deadline:
             partial = True
             break
         g = _graph_from_pairs(n_max, pair_list)
@@ -334,11 +356,10 @@ def explore_q2(n_max: int, budget: SolveBudget = SolveBudget(),
                                     [(relabel[a], relabel[b]) for a, b in pair_list])
             if not is_connected(sub):
                 continue
-        ms = ms_exact(g, budget).value
-        cms = cms_exact(g, budget).value
-        resolved = ms is not None and cms is not None
-        partial = partial or not resolved
-        rows.append(Q2Row(tuple(pair_list), ms, cms, resolved))
+        row = Q2Row(tuple(pair_list), _value_by(deadline, ms_exact, g, budget),
+                    _value_by(deadline, cms_exact, g, budget))
+        partial = partial or not row.resolved
+        rows.append(row)
     return Q2Result(n_max, tuple(rows), partial)
 
 
@@ -346,7 +367,10 @@ def explore_q2(n_max: int, budget: SolveBudget = SolveBudget(),
 class Q3Result:
     ms_single: int | None
     cms_doubled: int | None
-    resolved: bool
+
+    @property
+    def resolved(self) -> bool:
+        return self.ms_single is not None and self.cms_doubled is not None
 
     @property
     def equal(self) -> bool | None:
@@ -357,6 +381,6 @@ class Q3Result:
 
 def explore_q3(g: Graph, budget: SolveBudget = SolveBudget()) -> Q3Result:
     """Compare cms(2G) with ms(G), both exact."""
-    ms = ms_exact(g, budget).value
-    cms = cms_exact(multiply(g, 2), budget).value
-    return Q3Result(ms, cms, ms is not None and cms is not None)
+    deadline = time.perf_counter() + budget.max_seconds
+    return Q3Result(_value_by(deadline, ms_exact, g, budget),
+                    _value_by(deadline, cms_exact, multiply(g, 2), budget))

@@ -69,7 +69,9 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--k-max", type=int, default=2, help="q1: test kG for k <= k-max")
     e.add_argument("--max-n", type=int, default=5, help="q2: vertex bound")
     e.add_argument("--connected-only", action="store_true", help="q2 filter")
-    e.add_argument("--budget-seconds", type=_positive_seconds, default=300.0)
+    e.add_argument("--budget-seconds", type=_positive_seconds, default=300.0,
+                   help="time budget of the whole command, shared by its "
+                        "exact solves; cells left when it runs out show ?")
     return top
 
 

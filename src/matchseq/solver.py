@@ -9,31 +9,32 @@ So a node-budget hit reports exactly ``max_nodes + 1`` nodes in total.
 
 The core places edges into positions 1..m depth-first, in one loop over an
 explicit stack of the untried candidates of each open position, so the
-depth of the search is not bounded by Python's recursion limit.  A
-candidate for position p must be non-adjacent to the edges at positions
-p-d+1 .. p-1; in cyclic mode the last d-1 positions are additionally
-checked against the opening ones.  Adjacency is tested through per-edge
-compatibility bitmasks, built from per-vertex incidence masks, so each
-node is a handful of integer ANDs.
+depth of the search is not bounded by Python's recursion limit.  One
+candidate rule, ``_allowed``, serves the DFS and the greedy restarts: the
+next edge shares no vertex with the last d-1 placed nor, in cyclic mode,
+with the opening ones its window wraps onto.  It reads per-position bounds
+built once per search and per-edge compatibility bitmasks, so each node
+is a handful of integer ANDs.
 
 Symmetry breaking, cyclic mode only, and rotation only: position 1 is
 pinned to edge id 0.  The depth-first search tries candidates in ascending
 edge id.  Its find side is heavy-tailed under that fixed order (K8 linear
-d=3 took 759,509 nodes), so every 4,096th node of each d's search (which
-counts from 0), right after the time budget is tested, runs one slice of
-a greedy-restart generator, a fresh one per d.  A slice
-ends after 128 placements (at most 1/32 of the DFS nodes) or 1,024 scored
-candidates, whichever comes first, so it stays a small share of the
-stride's time on dense hosts too (K400: 7.6 ms per slice against 0.34 s
-for 4,096 DFS nodes).  Each restart fills positions 1..m under the
-same compat masks and wrap rule (edge 0 first in cyclic mode), preferring
-the candidate whose endpoints have the most unplaced edges, with ties
-broken by a ``random.Random`` of fixed seed, so every search is
-deterministic.  A restart may span several checkpoints.  A search that
-ends before node 4,096 never starts the generator and is unchanged, and a
-refutation visits every consistent prefix whatever else runs, so its node
-count does not move.  ``nodes_explored`` and ``depth_histogram`` count DFS
-nodes only; ``greedy_placements`` counts the heuristic's work.
+d=3 took 759,509 nodes), so each d's search, which counts nodes from 0,
+has checkpoints, met by one comparison per node: node 1, every 4,096th
+node and node max_nodes + 1.  Each tests the budget; each 4,096th node
+then runs one slice of a greedy-restart generator, a fresh one per d.  A
+slice ends after 128 placements (at most 1/32 of the DFS nodes) or 1,024
+scored candidates, whichever comes first, so it stays a small share of
+the stride's time on dense hosts too (K400: 7.6 ms per slice against
+0.34 s for 4,096 DFS nodes).  Each restart fills positions 1..m through
+``_allowed`` (edge 0 first in cyclic mode), preferring the candidate whose
+endpoints have the most unplaced edges, ties broken by a fixed-seed
+``random.Random``, so every search is deterministic.  A restart may span
+several checkpoints.  A search that ends before node 4,096 never starts
+the generator, and a refutation visits every consistent prefix whatever
+else runs, so its node count does not move.  ``nodes_explored`` and
+``depth_histogram`` count DFS nodes only; ``greedy_placements`` counts
+the heuristic's work.
 
 Nonexistence is reported only when the pruned tree has been exhausted;
 running out of budget is a distinct status, never conflated with a
@@ -116,23 +117,21 @@ def exists_ordering(g: Graph, d: int, mode: Mode,
 
 def _search(g: Graph, d: int, mode: Mode, compat: list[int], max_nodes: int,
             deadline: float) -> SolveResult:
-    """Decide target d on validated input.  Stops with budget_exceeded at
-    node max_nodes + 1, or at the first time check past ``deadline``, a
-    ``time.perf_counter`` value."""
+    """Decide target d on validated input: budget_exceeded at node max_nodes
+    + 1 or at the first checkpoint past ``deadline``, a perf_counter value."""
     m = g.num_edges
     free = (1 << m) - 1
     cyclic = mode == CYCLIC
-    lookback = d - 1
+    lo, wrap = _windows(m, d, cyclic)
 
     seq: list[int] = []
     stack: list[int] = []  # untried candidates of positions 1..len(seq)
-    # untried candidates of position len(seq)+1; cyclic mode pins edge 0
-    # at position 1 (rotation breaking)
+    # untried candidates of position len(seq)+1; cyclic mode pins edge 0 first
     cand = 1 if cyclic else free
     hist = [0] * m
-    nodes = 0
+    nodes = placed = 0
     greedy = None  # started at the first checkpoint
-    placed = 0
+    check_at = 1  # the next checkpoint: node 1, each stride, node max_nodes+1
     t0 = time.perf_counter()
 
     while cand or seq:
@@ -146,28 +145,21 @@ def _search(g: Graph, d: int, mode: Mode, compat: list[int], max_nodes: int,
         hist[len(seq)] += 1
         seq.append(bit.bit_length() - 1)
         nodes += 1
-        if nodes > max_nodes or nodes == 1 or not nodes % _BUDGET_CHECK_STRIDE:
+        if nodes == check_at:
             if nodes > max_nodes or time.perf_counter() > deadline:
                 return SolveResult(BUDGET_EXCEEDED, None, None, nodes, tuple(hist),
                                    time.perf_counter() - t0, greedy_placements=placed)
+            check_at = min((nodes // _BUDGET_CHECK_STRIDE + 1) * _BUDGET_CHECK_STRIDE,
+                           max_nodes + 1)
             if nodes > 1 and len(seq) < m:  # a checkpoint: run one greedy slice
                 greedy = greedy or _greedy_restarts(g, d, cyclic, compat)
                 work, found = next(greedy)
                 placed += work
                 if found:
                     seq = list(found)
-        depth = len(seq)  # positions filled; position depth+1 is next
-        if depth == m:
+        if len(seq) == m:
             break
-        # the rule of _allowed, inlined because a call per node costs the
-        # DFS 5-8%; the two must stay the same rule
-        cand = free
-        for e in seq[max(0, depth - lookback):]:
-            cand &= compat[e]
-        if cyclic:
-            # the wrap: position depth+1 must also clear positions 1..depth+d-m
-            for e in seq[:max(0, depth + d - m)]:
-                cand &= compat[e]
+        cand = _allowed(seq, free, compat, lo, wrap)
 
     elapsed = time.perf_counter() - t0
     if len(seq) < m:
@@ -182,20 +174,27 @@ def _search(g: Graph, d: int, mode: Mode, compat: list[int], max_nodes: int,
                        greedy_placements=placed)
 
 
-def _allowed(seq: list[int], free: int, compat: list[int], d: int,
-             cyclic: bool) -> int:
+def _windows(m: int, d: int, cyclic: bool) -> tuple[list[int], list[int]]:
+    """The bounds of ``_allowed`` for p = 0..m-1 positions filled."""
+    lo = [max(0, p - d + 1) for p in range(m)]
+    return lo, [max(0, p + d - m) for p in range(m)] if cyclic else []
+
+
+def _allowed(seq: list[int], free: int, compat: list[int], lo: list[int],
+             wrap: list[int]) -> int:
     """Mask of the free edges that may take the position after seq.
 
-    A candidate must be compatible with the last d-1 positions and, in
-    cyclic mode, with the opening positions it wraps onto.  The DFS of
-    ``_search`` applies the same rule inline.
+    The solver's one candidate rule, used by the DFS of ``_search`` and by
+    ``_greedy_restarts``: with p = len(seq), a candidate must be compatible
+    with the last d-1 positions, ``seq[lo[p]:]``, and in cyclic mode with
+    the opening positions it wraps onto, ``seq[:wrap[p]]``.
     """
-    depth = len(seq)
+    p = len(seq)
     cand = free
-    for e in seq[max(0, depth - d + 1):]:
+    for e in seq[lo[p]:]:
         cand &= compat[e]
-    if cyclic:
-        for e in seq[:max(0, depth + d - len(compat))]:
+    if wrap:
+        for e in seq[:wrap[p]]:
             cand &= compat[e]
     return cand
 
@@ -216,6 +215,7 @@ def _greedy_restarts(g: Graph, d: int, cyclic: bool, compat: list[int]):
     with ``matching_number`` like any DFS witness.
     """
     m = g.num_edges
+    lo, wrap = _windows(m, d, cyclic)
     ends = [(e.u, e.v) for e in g.edges]
     degree = degrees(g)
     rand = random.Random(_GREEDY_SEED).random
@@ -265,7 +265,7 @@ def _greedy_restarts(g: Graph, d: int, cyclic: bool, compat: list[int]):
             if placed == _GREEDY_SLICE:
                 yield placed, None
                 placed = scanned = 0
-            cand = _allowed(seq, free, compat, d, cyclic)
+            cand = _allowed(seq, free, compat, lo, wrap)
 
 
 def _compat_masks(g: Graph) -> list[int]:

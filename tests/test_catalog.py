@@ -1,5 +1,6 @@
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,7 +10,8 @@ from matchseq import (CYCLIC, LINEAR, FamilySpec, complete,
                       predicted, random_tree, verify_families)
 from matchseq.errors import InvalidFamilyParams, NoKnownFormula
 from matchseq.graphs import Edge, Graph, complete_bipartite
-from matchseq.solver import SolveBudget
+from matchseq import catalog
+from matchseq.solver import VALUE_FOUND, SolveBudget, SolveResult
 
 
 # ---------------------------------------------------------------------------
@@ -236,3 +238,53 @@ def test_q3_c5():
     assert res.ms_single == 2
     assert res.cms_doubled == max_matching_size(multiply(cycle(5), 2)) == 2
     assert res.equal
+
+
+def _stub_solves(monkeypatch, seconds_each: float) -> list[SolveBudget]:
+    """Stub the explorers' exact solves: each records the budget it is given
+    and takes seconds_each on a fake clock that nothing else moves."""
+    now = [0.0]
+    given: list[SolveBudget] = []
+
+    def solve(g, budget):
+        given.append(budget)
+        now[0] += seconds_each
+        return SolveResult(VALUE_FOUND, 1, None, 1)
+
+    monkeypatch.setattr(catalog, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+    monkeypatch.setattr(catalog, "ms_exact", solve)
+    monkeypatch.setattr(catalog, "cms_exact", solve)
+    return given
+
+
+def test_q1_budget_covers_the_whole_call(monkeypatch):
+    given = _stub_solves(monkeypatch, 0.4)
+    res = explore_q1(complete(3), 3, SolveBudget(max_nodes=77, max_seconds=1.0))
+    # each solve gets the node cap and the seconds left; cells due after
+    # the deadline stay None
+    assert [b.max_seconds for b in given] == pytest.approx([1.0, 0.6, 0.2])
+    assert {b.max_nodes for b in given} == {77}
+    assert [(r.ms_value, r.cms_value, r.resolved) for r in res.rows] == [
+        (1, 1, True), (1, None, False), (None, None, False)]
+
+
+def test_q2_budget_covers_the_whole_call(monkeypatch):
+    given = _stub_solves(monkeypatch, 0.4)
+    res = explore_q2(3, SolveBudget(max_seconds=1.0))
+    # 3 classes on 3 vertices: the second class starts at 0.8 s, its cms
+    # solve is due past the deadline, and the third class is never reached
+    assert [b.max_seconds for b in given] == pytest.approx([1.0, 0.6, 0.2])
+    assert [(r.ms_value, r.cms_value) for r in res.rows] == [(1, 1), (1, None)]
+    assert res.partial and not res.rows[1].resolved
+
+
+@pytest.mark.parametrize("seconds_each,given,resolved", [
+    (0.7, [1.0, 0.3], True),
+    (1.0, [1.0], False),
+], ids=["both-in-time", "second-past-deadline"])
+def test_q3_budget_covers_the_whole_call(monkeypatch, seconds_each, given, resolved):
+    seen = _stub_solves(monkeypatch, seconds_each)
+    res = explore_q3(path(3), SolveBudget(max_seconds=1.0))
+    assert [b.max_seconds for b in seen] == pytest.approx(given)
+    assert res.resolved is resolved and res.ms_single == 1
+    assert res.equal is (True if resolved else None)

@@ -259,7 +259,8 @@ def test_solve_bad_target_exit2(capsys, tmp_path):
     ("solve", "--mode", "linear", "--budget-seconds", "nan"),
     ("explore", "q2", "--budget-seconds", "-1"),
     ("explore", "q3", "--budget-seconds", "nan"),
-], ids=["solve-0", "solve-nan", "explore-q2-negative", "explore-q3-nan"])
+    ("solve", "--mode", "linear", "--budget-seconds", "abc"),
+], ids=["solve-0", "solve-nan", "explore-q2-negative", "explore-q3-nan", "solve-abc"])
 def test_bad_budget_seconds_exit2(capsys, tmp_path, argv):
     # a usage error, not a traceback from SolveBudget or a run without a deadline
     f = _write_graph(tmp_path, complete(5))

@@ -292,6 +292,21 @@ def test_edge_list_empty_file():
         read_edge_list("# only comments\n")
 
 
+@pytest.mark.parametrize("text,message,bad_line", [
+    ("x 2\n0 1\n1 2\n", "header must contain integers", 1),
+    ("3 1\n0\n", "edge line must be 'u v'", 2),
+    ("3 1\n0 1 2\n", "edge line must be 'u v'", 2),
+    ("0 0\n", "graph order must be >= 1, got 0", None),
+    ("3 2\n0 1\n1 0\n", "duplicate edge {0,1} in a simple graph", None),
+], ids=["non-integer-header", "one-token-edge", "three-token-edge", "header-0-0",
+        "repeated-pair"])
+def test_edge_list_rejections(text, message, bad_line):
+    with pytest.raises(FormatError) as err:
+        read_edge_list(text)
+    assert message in str(err.value)
+    assert err.value.line == bad_line
+
+
 # ---------------------------------------------------------------------------
 # bulk validation and pair index against their per-edge references
 

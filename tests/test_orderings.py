@@ -327,10 +327,19 @@ def test_simple_graph_tokens_match_edge_token(o):
     "0-1 1-2 9-9",        # unknown edge
     "0-1 1-2 xx",         # unparsable
     "0-1 0-1 1-2",        # repeated edge
+    "0-1#1 1-2 2-3",      # copy index out of range
+    "0-1#-1 1-2 2-3",     # negative copy index
 ])
 def test_ordering_file_errors(text):
     with pytest.raises(FormatError):
         read_ordering(text, path(4), LINEAR)
+
+
+@pytest.mark.parametrize("edge_id", [3, -1])
+def test_position_rejects_unknown_edge_ids(edge_id):
+    o = EdgeOrdering(path(4), (2, 0, 1), LINEAR)
+    with pytest.raises(InvalidEdgeId):
+        o.position(edge_id)
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +351,31 @@ def test_render_parse_roundtrip():
     o = random_ordering(g, LINEAR, random.Random(4))
     text = render_biadjacency(o, rows, cols)
     assert parse_biadjacency(text, g, rows, cols, LINEAR).sequence == o.sequence
+
+
+def test_parse_biadjacency_p4():
+    # P4 = 0-1-2-3 with rows (0, 2) and columns (1, 3): the cell (0, 3) is
+    # a non-edge, and this matrix labels the three edges in id order
+    o = parse_biadjacency("1 .\n2 3\n", path(4), [0, 2], [1, 3], LINEAR)
+    assert o.sequence == (0, 1, 2)
+
+
+@pytest.mark.parametrize("text,message,bad_line", [
+    ("1 .\n", "expected 2 matrix rows, found 1", None),
+    ("1 . .\n2 3\n", "expected 2 cells", 1),
+    ("1 .\nx 3\n", "bad cell 'x'", 2),
+    ("1 2\n. 3\n", "cell (1,2) labels a non-edge", 1),
+    ("1 .\n1 3\n", "label 1 out of range or repeated", 2),
+    ("1 .\n2 4\n", "label 4 out of range or repeated", 2),
+    ("0 .\n2 3\n", "label 0 out of range or repeated", 1),
+    ("1 .\n2 .\n", "matrix does not label every edge", None),
+], ids=["row-count", "cell-count", "non-integer", "non-edge", "repeated",
+        "above-range", "below-range", "unlabelled-edge"])
+def test_parse_biadjacency_rejections(text, message, bad_line):
+    with pytest.raises(FormatError) as err:
+        parse_biadjacency(text, path(4), [0, 2], [1, 3], LINEAR)
+    assert message in str(err.value)
+    assert err.value.line == bad_line
 
 
 def test_render_rejects_uncovered_edges():

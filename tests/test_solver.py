@@ -134,6 +134,21 @@ def test_exact_node_budget_is_a_total_cap():
     assert (res.status, res.nodes_explored) == (BUDGET_EXCEEDED, 6)
 
 
+@pytest.mark.parametrize("max_nodes,nodes,placements", [
+    (4_095, 4_096, 0),
+    (4_096, 4_097, 128),
+    (8_191, 8_192, 128),
+    (8_192, 8_193, 256),
+])
+def test_checkpoint_schedule_at_the_budget_boundary(max_nodes, nodes, placements):
+    # checkpoints fall on node 1, every 4,096th node and node max_nodes + 1;
+    # each 4,096th node runs one greedy slice, the last one stops the search
+    res = exists_ordering(complete(7), 3, CYCLIC, SolveBudget(max_nodes))
+    assert res.status == BUDGET_EXCEEDED
+    assert (res.nodes_explored, res.greedy_placements) == (nodes, placements)
+    assert sum(res.depth_histogram) == nodes
+
+
 @pytest.mark.parametrize("solve,status", [
     (lambda: exists_ordering(complete(5), 2, CYCLIC), NONEXISTENCE_CERTIFIED),
     (lambda: exists_ordering(complete(6), 3, CYCLIC, SolveBudget(max_nodes=5)),
