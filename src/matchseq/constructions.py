@@ -16,7 +16,9 @@ exactly.  The schemes:
   and makes every block junction a rotated image of the first one, so the
   ordering closes up cyclically.
 * complete bipartite, cycles, paths, circulant cubic bipartite: closed-form
-  diagonal labelings of the biadjacency matrix.
+  edge-id sequences, each docstring giving its form and the distance it
+  keeps between adjacent edges.  Their biadjacency grids appear only in the
+  registry's layouts, which only the matrix view reads.
 
 The module ends with the family registry ``FAMILIES``: one :class:`Family`
 record per named family holding its parameter bounds, host builder,
@@ -198,106 +200,73 @@ def cms_doubled_complete_odd(m: int) -> EdgeOrdering:
 def ms_complete_bipartite(p: int, q: int) -> EdgeOrdering:
     """Linear ordering of K_{p,q} with matching number q-1 (p=q) or min(p,q).
 
-    With a <= b sides, labels sweep diagonals of the a x b biadjacency
-    grid.  Square case: cell (i, (i+k) mod b) gets label k*b + i + 1.
-    Rectangular case: diagonals in order 0, b-1, b-2, ..., 1, so consecutive
-    blocks shift by -1 (mod b) and a window of size a can never hit one row
-    or column twice.
+    With a <= b sides, block k lists the a cells (i, (i + s_k) mod b),
+    i = 0..a-1, of the a x b grid (rows on the smaller side), so every block
+    is a matching.  The shifts are s_k = k when a = b and 0, b-1, ..., 1
+    otherwise.  A row recurs exactly a positions later.  Square case: a
+    column recurs at least a-1 positions later, so the value is q-1.
+    Rectangular case: consecutive blocks shift by -1 (mod b), so a column
+    recurs at least a+1 positions later and the value is a.
     """
     g = complete_bipartite(p, q)
     a, b = min(p, q), max(p, q)
-    labels: dict[tuple[int, int], int] = {}  # (row, col) on the a x b grid
-    if a == b:
-        for i in range(a):
-            for k in range(b):
-                labels[(i, (i + k) % b)] = k * b + i + 1
-    else:
-        offsets = [0] + list(range(b - 1, 0, -1))
-        for blk, d in enumerate(offsets):
-            for i in range(a):
-                labels[(i, (i + d) % b)] = blk * a + i + 1
-    seq: list[int] = [0] * (p * q)
-    for (r, c), label in labels.items():
-        if p <= q:
-            eid = r * q + c
-        else:  # grid is transposed relative to the host graph
-            eid = c * q + r
-        seq[label - 1] = eid
-    return EdgeOrdering(g, tuple(seq), LINEAR)
+    shifts = range(b) if a == b else (0, *range(b - 1, 0, -1))
+    # id of grid cell (r, c): r*q + c, or c*q + r when the grid is transposed
+    row, col = (q, 1) if p <= q else (1, q)
+    return EdgeOrdering(g, tuple(i * row + (i + s) % b * col
+                                 for s in shifts for i in range(a)), LINEAR)
 
 
 # ---------------------------------------------------------------------------
 # cycles and paths
 
-def _even_cycle_labels(q: int) -> tuple[dict[int, int], dict[int, int], int]:
-    """Labels (diag, superdiag, wrap cell) for the C_{2q} biadjacency schemes.
-
-    Two diagonal labelings, chosen by q mod 4 to match the locked fixtures;
-    scheme A keeps all same-line label differences at +-(q-1) mod 2q, scheme
-    B at +-(q-1) or q, so either way every q-1 cyclically consecutive labels
-    sit in distinct rows and columns.  Scheme A is only a permutation of
-    1..2q when q is even; scheme B works for every q >= 2.
-    """
-    diag: dict[int, int] = {}
-    sup: dict[int, int] = {}
-    if q % 4 == 0:
-        diag[1] = 1
-        for i in range(2, q + 1):
-            diag[i] = 2 * q + 3 - 2 * i
-        for i in range(1, q):
-            sup[i] = q + 2 - 2 * i if i <= q // 2 else 3 * q + 2 - 2 * i
-        wrap = q + 2
-    else:
-        h = (q + 1) // 2
-        for i in range(1, h + 1):
-            diag[i] = 2 * i - 1
-        for i in range(h + 1, q + 1):
-            diag[i] = 2 * (q // 2) - 2 * (i - h - 1)
-        for i in range(1, q):
-            sup[i] = q + 2 * i if i <= q // 2 else 3 * q + 1 - 2 * i
-        wrap = q + 1
-    return diag, sup, wrap
+def _ends_inward(xs: Sequence[int]) -> list[int]:
+    """xs[-1], xs[0], xs[-2], xs[1], ...: alternately from the back and front."""
+    return [xs[j // 2] if j % 2 else xs[~(j // 2)] for j in range(len(xs))]
 
 
 def cms_cycle(n: int) -> EdgeOrdering:
     """Cyclic ordering of C_n with matching number exactly floor((n-1)/2).
 
-    Odd n: go around the cycle twice taking alternate edges, i.e. label t
-    names edge e_{2(t-1) mod n}.  Even n = 2q: diagonal labeling of the
-    I + P biadjacency matrix per :func:`_even_cycle_labels`.
+    Edge e_i meets only e_{i-1} and e_{i+1}, so a sequence in which
+    consecutive ids sit at least floor((n-1)/2) positions apart, cyclically,
+    makes every window of that size a matching.
+
+    * Odd n: e_{2t mod n}, i.e. alternate edges twice around the cycle;
+      consecutive ids sit (n-1)/2 positions apart.
+    * Even n = 2q, q = 0 (mod 4): e_{((q-1)t - 1) mod n}.  q-1 is odd and
+      (q-1)^2 = 1 (mod 2q), so consecutive ids sit q-1 positions apart.
+    * Other even n: e_{n-1}, then the odd ids 1..n-3 and then the even ids
+      0..n-2, each taken alternately from the back and the front
+      (:func:`_ends_inward`); consecutive ids sit q-1 or q positions apart.
+
+    The form for q = 0 (mod 4) is a permutation for every even q; it is
+    used there only so that the matrix view keeps its recorded fixtures.
     """
     g = cycle(n)
-    if n % 2 == 1:
-        seq = tuple((2 * t) % n for t in range(n))
-        return EdgeOrdering(g, seq, CYCLIC)
     q = n // 2
-    diag, sup, wrap = _even_cycle_labels(q)
-    seq_list = [0] * n
-    for i in range(1, q + 1):
-        seq_list[diag[i] - 1] = (2 * i - 3) % n
-    for i in range(1, q):
-        seq_list[sup[i] - 1] = 2 * i - 2
-    seq_list[wrap - 1] = n - 2
-    return EdgeOrdering(g, tuple(seq_list), CYCLIC)
+    if n % 2 == 1:
+        seq = [(2 * t) % n for t in range(n)]
+    elif q % 4 == 0:
+        seq = [((q - 1) * t - 1) % n for t in range(n)]
+    else:
+        seq = [n - 1, *_ends_inward(range(1, n - 2, 2)),
+               *_ends_inward(range(0, n - 1, 2))]
+    return EdgeOrdering(g, tuple(seq), CYCLIC)
 
 
 def _path_sequence(n: int) -> tuple[int, ...]:
-    seq: list[int] = [0] * (n - 1)
-    if n % 2 == 0:
-        # diag (i,i) = q-i for i<q, super (i,i+1) = 2q-1-i, corner (q,q) = 2q-1
-        q = n // 2
-        for i in range(1, q):
-            seq[(q - i) - 1] = 2 * (q - i)
-        seq[2 * q - 2] = 0  # corner: label 2q-1 on edge e_0
-        for i in range(1, q):
-            seq[(2 * q - 1 - i) - 1] = 2 * (q - i) - 1
-    else:
-        # diag (i,i) = q+1-i, super (i,i+1) = 2q+1-i
-        q = n // 2
-        for i in range(1, q + 1):
-            seq[(q + 1 - i) - 1] = 2 * (q - i) + 1
-            seq[(2 * q + 1 - i) - 1] = 2 * (q - i)
-    return tuple(seq)
+    """The path ordering; edge e_i meets only e_{i-1} and e_{i+1}.
+
+    With m = n-1 edges: for odd m, e_{(2+2t) mod m}, where consecutive ids
+    sit at least (m-1)/2 positions apart, cyclically too.  For even m,
+    the odd ids ascending, then the even ids ascending: consecutive ids sit
+    m/2 or m/2+1 positions apart, so m/2-1 apart read cyclically.
+    """
+    m = n - 1
+    if m % 2 == 1:
+        return tuple((2 + 2 * t) % m for t in range(m))
+    return (*range(1, m, 2), *range(0, m, 2))
 
 
 def ms_path(n: int) -> EdgeOrdering:
@@ -306,7 +275,7 @@ def ms_path(n: int) -> EdgeOrdering:
 
 
 def cms_path(n: int) -> EdgeOrdering:
-    """Cyclic reading of the path labeling.
+    """Cyclic reading of the path ordering.
 
     Even n keeps the linear value (n-2)/2; odd n drops to (n-3)/2, which is
     the best any cyclic ordering of an odd path can do (floor 1 for n = 3).
@@ -317,53 +286,29 @@ def cms_path(n: int) -> EdgeOrdering:
 # ---------------------------------------------------------------------------
 # circulant cubic bipartite graphs
 
-def _circulant_labels(n: int) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
-    """Positions for the three wrapped diagonals of the I + P + P^-1 matrix.
-
-    Returns per-row labels for the main diagonal, the P diagonal (cell
-    (r, r+1), wrapping to (n, 1)) and the P^-1 diagonal (cell (r, r-1),
-    wrapping to (1, n)), 1-based rows.  All same-row/column label pairs end
-    up at cyclic distance >= n-1 mod 3n, with n-1 attained.
-    """
-    diag: dict[int, int] = {}
-    P: dict[int, int] = {}
-    Pinv: dict[int, int] = {}
-    for r in range(1, n + 1):
-        diag[r] = r if r < n else (3 * n if n % 2 else 2 * n)
-        if r == n:
-            P[r] = n + 1
-        elif r % 2 == 1:
-            P[r] = 2 * n + r + 1
-        else:
-            P[r] = n + r
-        if r == 1:
-            Pinv[r] = n
-        elif r % 2 == 0:
-            Pinv[r] = 2 * n + r - 1
-        else:
-            Pinv[r] = n + r
-    return diag, P, Pinv
-
-
 def ms_circulant3(n: int, mode: Mode = CYCLIC) -> EdgeOrdering:
     """Ordering of circulant3(n) with matching number exactly n-1.
 
-    The closed-form three-diagonal labeling covers every n >= 3.  It is
-    self-checked: a labeling that misses n-1 raises AssertionError.
+    Row i owns ids 3i, 3i+1, 3i+2, to columns i-1, i, i+1 (mod n).  The
+    sequence: the diagonal ids 3i+1 for i < n-1; then 0 and 3n-1, the two
+    wrapped corners; then 3r+2, 3r+3 for each odd r < n-1; then 3r, 3r-1
+    for each odd r < n.  The last diagonal id 3n-2 goes just before that
+    final group for even n and at the very end for odd n.  Any two ids
+    sharing a row or a column then sit at least n-1 positions apart, read
+    cyclically over the 3n positions, and n-1 is attained.
+
+    It is self-checked: an ordering that misses n-1 raises AssertionError.
     """
     g = circulant3(n)
-    diag, P, Pinv = _circulant_labels(n)
-    seq = [0] * (3 * n)
-    for r in range(1, n + 1):
-        i = r - 1
-        seq[diag[r] - 1] = 3 * i + 1   # cell (r, r)
-        seq[P[r] - 1] = 3 * i + 2      # cell (r, r+1) wrapping
-        seq[Pinv[r] - 1] = 3 * i       # cell (r, r-1) wrapping
+    seq = [3 * i + 1 for i in range(n - 1)] + [0, 3 * n - 1]
+    seq += [x for r in range(1, n - 1, 2) for x in (3 * r + 2, 3 * r + 3)]
+    tail = [x for r in range(1, n, 2) for x in (3 * r, 3 * r - 1)]
+    seq += [3 * n - 2, *tail] if n % 2 == 0 else [*tail, 3 * n - 2]
     ordering = EdgeOrdering(g, tuple(seq), mode)
     value = matching_number(ordering).value
     if value != n - 1:
         raise AssertionError(
-            f"circulant3({n}) labeling fails its self-check: value {value} != {n - 1}")
+            f"circulant3({n}) ordering fails its self-check: value {value} != {n - 1}")
     return ordering
 
 

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import InvalidTarget
 from .graphs import Graph, degrees, max_matching_size
@@ -102,7 +102,8 @@ def exists_ordering(g: Graph, d: int, mode: Mode,
 
     Returns a witness ordering on success (post-validated through the
     independent checker), a nonexistence certificate on full exhaustion,
-    or a budget_exceeded result.
+    or a budget_exceeded result.  The time budget and ``elapsed_seconds``
+    cover building the compat masks as well as the search.
     """
     m = g.num_edges
     if m == 0:
@@ -111,8 +112,10 @@ def exists_ordering(g: Graph, d: int, mode: Mode,
         raise InvalidTarget(f"target d={d} outside [1, {m}]")
     if mode not in (LINEAR, CYCLIC):
         raise InvalidTarget(f"bad mode {mode!r}")
-    return _search(g, d, mode, _compat_masks(g), budget.max_nodes,
-                   time.perf_counter() + budget.max_seconds)
+    t0 = time.perf_counter()
+    res = _search(g, d, mode, _compat_masks(g), budget.max_nodes,
+                  t0 + budget.max_seconds)
+    return replace(res, elapsed_seconds=time.perf_counter() - t0)
 
 
 def _search(g: Graph, d: int, mode: Mode, compat: list[int], max_nodes: int,

@@ -47,6 +47,11 @@ def test_predicted_accepts_family_spec():
     assert predicted(FamilySpec("cycle", (9,)), CYCLIC).value == 4
 
 
+def test_predicted_by_name_needs_params():
+    with pytest.raises(ValueError):
+        predicted("cycle", CYCLIC)
+
+
 @pytest.mark.parametrize("family,params,mode", [
     ("complete_bipartite", (3, 3), CYCLIC),
     ("doubled_complete", (6,), CYCLIC),

@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
-from matchseq import (LINEAR, complete, cycle, matching_number_bruteforce, path,
-                      read_edge_list, read_ordering, write_edge_list)
+from matchseq import (CYCLIC, LINEAR, complete, cycle,
+                      matching_number_bruteforce, path, read_edge_list,
+                      read_ordering, write_edge_list)
 from matchseq import catalog
 from matchseq.cli import main
 from matchseq.orderings import MatchingNumberReport
@@ -46,6 +47,15 @@ def test_construct_cycle7(capsys, tmp_path):
                            "--out", str(tmp_path / "o"))
     assert code == 0
     assert "value=3 predicted=3" in out
+
+
+def test_construct_prints_the_ordering_without_out(capsys):
+    code, out, _ = run_cli(capsys, "construct", "--family", "cycle",
+                           "--params", "7", "--mode", "cyclic")
+    assert code == 0
+    line, value_line = out.splitlines()
+    assert read_ordering(line, cycle(7), CYCLIC).sequence == (0, 2, 4, 6, 1, 3, 5)
+    assert value_line == "value=3 predicted=3"
 
 
 def test_construct_invalid_params_exit2(capsys):

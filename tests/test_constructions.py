@@ -1,14 +1,16 @@
+import random
+
 import pytest
 
 from matchseq import (CYCLIC, LINEAR, FamilySpec, RotationScheme, SolveBudget,
-                      VALUE_FOUND, biadjacency_layout, circulant3,
+                      VALUE_FOUND, attach_pendants, biadjacency_layout, circulant3,
                       cms_complete_even, cms_complete_odd, cms_cycle,
                       cms_doubled_complete_odd, cms_exact, cms_path, complete,
                       complete_bipartite, cycle, family_ordering, is_matching,
                       matching_number, matching_number_bruteforce,
                       ms_circulant3, ms_complete_bipartite,
-                      ms_complete_odd_walecki, ms_path, path, predicted,
-                      render_biadjacency, with_mode)
+                      ms_complete_odd_walecki, ms_path, multiply, path,
+                      predicted, random_tree, render_biadjacency, with_mode)
 from matchseq.constructions import FAMILIES
 from matchseq.errors import InvalidFamilyParams, NoKnownFormula
 
@@ -318,6 +320,39 @@ def test_circulant_n3_agrees_with_exact_solver():
 
 
 # ---------------------------------------------------------------------------
+# exact sequences, one or more per branch of each closed form
+
+@pytest.mark.parametrize("make,seq", [
+    (lambda: cms_cycle(9), (0, 2, 4, 6, 8, 1, 3, 5, 7)),
+    (lambda: cms_cycle(10), (9, 7, 1, 5, 3, 8, 0, 6, 2, 4)),
+    (lambda: cms_cycle(20), (19, 17, 1, 15, 3, 13, 5, 11, 7, 9,
+                             18, 0, 16, 2, 14, 4, 12, 6, 10, 8)),
+    (lambda: cms_cycle(24), (23, 10, 21, 8, 19, 6, 17, 4, 15, 2, 13, 0,
+                             11, 22, 9, 20, 7, 18, 5, 16, 3, 14, 1, 12)),
+    (lambda: ms_path(2), (0,)),
+    (lambda: ms_path(9), (1, 3, 5, 7, 0, 2, 4, 6)),
+    (lambda: ms_path(12), (2, 4, 6, 8, 10, 1, 3, 5, 7, 9, 0)),
+    (lambda: ms_complete_bipartite(1, 1), (0,)),
+    (lambda: ms_complete_bipartite(3, 3), (0, 4, 8, 1, 5, 6, 2, 3, 7)),
+    (lambda: ms_complete_bipartite(3, 7), (0, 8, 16, 6, 7, 15, 5, 13, 14, 4, 12,
+                                           20, 3, 11, 19, 2, 10, 18, 1, 9, 17)),
+    (lambda: ms_complete_bipartite(7, 3), (0, 4, 8, 18, 1, 5, 15, 19, 2, 12, 16,
+                                           20, 9, 13, 17, 6, 10, 14, 3, 7, 11)),
+    (lambda: ms_circulant3(3), (1, 4, 0, 8, 5, 6, 3, 2, 7)),
+    (lambda: ms_circulant3(4), (1, 4, 7, 0, 11, 5, 6, 10, 3, 2, 9, 8)),
+    (lambda: ms_circulant3(9), (1, 4, 7, 10, 13, 16, 19, 22, 0, 26, 5, 6, 11,
+                                12, 17, 18, 23, 24, 3, 2, 9, 8, 15, 14, 21, 20,
+                                25)),
+    (lambda: ms_circulant3(10, LINEAR), (1, 4, 7, 10, 13, 16, 19, 22, 25, 0, 29,
+                                         5, 6, 11, 12, 17, 18, 23, 24, 28, 3, 2,
+                                         9, 8, 15, 14, 21, 20, 27, 26)),
+], ids=["C9", "C10", "C20", "C24", "P2", "P9", "P12", "K1_1", "K3_3", "K3_7",
+        "K7_3", "circ3", "circ4", "circ9", "circ10"])
+def test_exact_sequences_pinned(make, seq):
+    assert make().sequence == seq
+
+
+# ---------------------------------------------------------------------------
 # every construction output is a true permutation (bijectivity)
 
 @pytest.mark.parametrize("make", [
@@ -360,7 +395,9 @@ def test_family_ordering_rejections():
     lambda: complete(0), lambda: complete_bipartite(0, 3), lambda: cycle(2),
     lambda: path(1), lambda: circulant3(2), lambda: ms_complete_bipartite(0, 3),
     lambda: cms_cycle(2), lambda: ms_path(1), lambda: cms_path(1),
-    lambda: ms_circulant3(2),
+    lambda: ms_circulant3(2), lambda: multiply(complete(3), 0),
+    lambda: attach_pendants(path(3), 0, 0),
+    lambda: random_tree(1, random.Random(0)),
 ])
 def test_below_bound_raises_invalid_params(call):
     with pytest.raises(InvalidFamilyParams):

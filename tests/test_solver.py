@@ -1,5 +1,6 @@
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,6 +9,7 @@ from matchseq import (BUDGET_EXCEEDED, CYCLIC, LINEAR, NONEXISTENCE_CERTIFIED,
                       cms_exact, complete, complete_bipartite, cycle,
                       exists_ordering, matching_number, max_matching_size,
                       multiply, ms_exact, path)
+from matchseq import solver
 from matchseq.catalog import _canonical_edge_subsets
 from matchseq.errors import InvalidTarget
 from matchseq.graphs import Graph, _graph_from_pairs
@@ -149,6 +151,22 @@ def test_checkpoint_schedule_at_the_budget_boundary(max_nodes, nodes, placements
     assert sum(res.depth_histogram) == nodes
 
 
+def test_exists_budget_covers_the_compat_masks(monkeypatch):
+    # the masks use up the whole time budget: the search stops at its first
+    # checkpoint, and the reported time includes the masks
+    now = [0.0]
+
+    def slow_masks(g):
+        now[0] += 10.0
+        return _compat_masks(g)
+
+    monkeypatch.setattr(solver, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+    monkeypatch.setattr(solver, "_compat_masks", slow_masks)
+    res = exists_ordering(complete(5), 2, CYCLIC, SolveBudget(max_seconds=5.0))
+    assert (res.status, res.nodes_explored) == (BUDGET_EXCEEDED, 1)
+    assert res.elapsed_seconds == 10.0
+
+
 @pytest.mark.parametrize("solve,status", [
     (lambda: exists_ordering(complete(5), 2, CYCLIC), NONEXISTENCE_CERTIFIED),
     (lambda: exists_ordering(complete(6), 3, CYCLIC, SolveBudget(max_nodes=5)),
@@ -176,10 +194,13 @@ def test_budget_limits_must_be_positive(limits):
         SolveBudget(**limits)
 
 
-@pytest.mark.parametrize("d", [0, 100])
-def test_invalid_targets(d):
+@pytest.mark.parametrize("g,d,mode", [
+    (complete(4), 0, LINEAR), (complete(4), 100, LINEAR),
+    (Graph(3, ()), 1, LINEAR), (complete(4), 1, "spiral"),
+], ids=["0", "100", "edgeless", "bad-mode"])
+def test_invalid_targets(g, d, mode):
     with pytest.raises(InvalidTarget):
-        exists_ordering(complete(4), d, LINEAR)
+        exists_ordering(g, d, mode)
 
 
 def test_empty_graph_rejected():
