@@ -19,7 +19,7 @@ from .constructions import FAMILIES, FamilySpec, family_ordering
 from .errors import InvalidFamilyParams, NoKnownFormula
 from .graphs import (Graph, _graph_from_pairs, attach_pendants, degrees,
                      is_connected, is_tree, max_matching_size, multiply)
-from .orderings import LINEAR, Mode, matching_number
+from .orderings import LINEAR, MODES, Mode, matching_number
 from .solver import SolveBudget, cms_exact, ms_exact
 
 
@@ -46,11 +46,11 @@ def predicted(family: str | FamilySpec, mode: Mode,
         raise ValueError("params required when family is given by name")
     if family not in FAMILIES:
         raise NoKnownFormula(f"no formula table for family {family!r}")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     record = FAMILIES[family]
     record.check(params)
-    if mode not in record.formulas:
-        raise NoKnownFormula(f"no {mode} value on record for {family}")
-    value, provenance = record.formulas[mode](*params)
+    value, provenance = record.formula(*params, mode)
     return PredictedValue(family, params, mode, value, provenance)
 
 
@@ -175,9 +175,9 @@ def verify_families(max_complete: int = 8, max_cycle: int = 16,
     """Check constructed value == predicted for every family in range.
 
     Each registry family picks its instances from the range arguments and
-    is checked in every mode it has a construction for.  Instances with at
-    most ``exact_up_to_edges`` edges are additionally solved exactly and
-    must agree.  Rows are sorted by family, parameters and mode.
+    is checked in both modes.  Instances with at most ``exact_up_to_edges``
+    edges are additionally solved exactly and must agree.  Rows are sorted
+    by family, parameters and mode.
     """
     limits = dict(max_complete=max_complete, max_cycle=max_cycle,
                   max_bipartite=max_bipartite, max_circulant=max_circulant,
@@ -185,7 +185,7 @@ def verify_families(max_complete: int = 8, max_cycle: int = 16,
     rows = [_run_case(record.name, params, mode, exact_up_to_edges, budget)
             for record in FAMILIES.values()
             for params in record.verify_params(**limits)
-            for mode in record.constructions]
+            for mode in MODES]
     rows.sort(key=lambda r: (r.family, r.params, r.mode))
     return VerificationReport(tuple(rows))
 

@@ -37,9 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--family", required=True,
                    choices=[*constructions.FAMILIES, *_FAMILY_ALIASES])
     c.add_argument("--params", required=True, type=int, nargs="+")
-    c.add_argument("--mode", choices=list(orderings.MODES),
-                   help="default: cyclic if the family has a cyclic "
-                        "construction, else linear")
+    c.add_argument("--mode", choices=list(orderings.MODES), default=orderings.CYCLIC)
     c.add_argument("--matrix", action="store_true",
                    help="print the labeled biadjacency matrix (bipartite hosts)")
     c.add_argument("--out", help="write the ordering file here instead of stdout")
@@ -92,12 +90,8 @@ def _read_graph(path: str) -> graphs.Graph:
 
 def _cmd_construct(args) -> int:
     family = _FAMILY_ALIASES.get(args.family, args.family)
-    mode = args.mode
-    if mode is None:
-        cyclic = orderings.CYCLIC in constructions.FAMILIES[family].constructions
-        mode = orderings.CYCLIC if cyclic else orderings.LINEAR
-    ordering = constructions.family_ordering(family, tuple(args.params), mode)
-    pred = catalog.predicted(family, mode, tuple(args.params))
+    ordering = constructions.family_ordering(family, tuple(args.params), args.mode)
+    pred = catalog.predicted(family, args.mode, tuple(args.params))
     value = orderings.matching_number(ordering).value
     if args.matrix:
         spec = constructions.FamilySpec(family, tuple(args.params))

@@ -12,26 +12,30 @@ exactly.  The schemes:
   Hamilton cycle traversed by alternate edges (two passes around the odd
   cycle), decomposes the graph into Hamilton cycles and concatenates them.
 * doubled odd complete multigraphs: continue the same rotation for a second
-  sweep of the Hamilton cycles, which supplies each edge's parallel copy
-  and makes every block junction a rotated image of the first one, so the
-  ordering closes up cyclically.
-* complete bipartite, cycles, paths, circulant cubic bipartite: closed-form
-  edge-id sequences, each docstring giving its form and the distance it
-  keeps between adjacent edges.  Their biadjacency grids appear only in the
-  registry's layouts, which only the matrix view reads.
+  sweep of the Hamilton cycles, which supplies each edge's parallel copy.
+* complete bipartite: shift the larger side under a fixed matching of the
+  smaller side into it.
+* cycles, paths, circulant cubic bipartite: closed-form edge-id sequences,
+  each docstring giving its form and the distance it keeps between
+  adjacent edges.
+
+The first four are :class:`RotationScheme` sweeps; its docstring proves once
+why a sweep whose rotation returns every vertex home after the last block
+keeps its linear value when read cyclically.  The biadjacency grids of the
+bipartite families appear only in the registry's layouts, which only the
+matrix view reads.
 
 The module ends with the family registry ``FAMILIES``: one :class:`Family`
 record per named family holding its parameter bounds, host builder,
-construction and known value per mode, biadjacency layout and verification
-range.  ``FamilySpec``, ``build_family``, ``family_ordering``,
+construction and known value (each taking the mode), biadjacency layout and
+verification range.  ``FamilySpec``, ``build_family``, ``family_ordering``,
 ``biadjacency_layout`` and ``catalog.predicted`` are lookups into it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import InvalidFamilyParams, NoKnownFormula
 from .graphs import (Graph, circulant3, complete, complete_bipartite, cycle,
@@ -61,32 +65,55 @@ def _ids_for(g: Graph, pairs: Sequence[tuple[int, int]]) -> tuple[int, ...]:
 class RotationScheme:
     """A base block swept around the vertex circle by a rotation.
 
-    The base block is a matching for the cyclic complete-graph schemes and a
-    Hamilton cycle in alternate-edge order for the Walecki sweep.
-    ``rotation[v]`` is the image of vertex v.  Applying the rotation
-    ``block_count`` times must map the base block back onto itself;
-    ``blocks()`` checks that closure and yields the rotated blocks whose
-    concatenation is the ordering.  ``ordering()`` maps the j-th listing of
-    a vertex pair to the pair's j-th parallel copy, so a sweep may visit an
-    edge of a multigraph once per copy.
+    ``base`` is a matching for the cyclic complete-graph schemes and K_{p,q},
+    and a Hamilton cycle in alternate-edge order for the Walecki sweeps.
+    ``rotation[v]`` is the image theta(v) of vertex v.  Block k is
+    theta^k(base), k < ``block_count``; applying the rotation
+    ``block_count`` times must map the base block back onto itself as a set,
+    which ``blocks()`` checks.  ``ordering()`` concatenates the blocks and
+    maps the j-th listing of a vertex pair to the pair's j-th parallel copy,
+    so a sweep may visit an edge of a multigraph once per copy.
+
+    **The cyclic reading.**  Let s = ``block_size``, c = ``block_count`` and
+    m = s*c, and suppose theta^c fixes every vertex, not just the base block
+    as a set.  Then position t of the sequence, for every t >= 0 read
+    modulo m, holds theta^(t // s) applied to base[t % s].  A cyclic window
+    of d <= m - s + 1 positions starting at offset o of block k is therefore
+    the theta^k-image of the window of d positions starting at offset o of
+    block 0, which does not wrap since o + d <= m.  theta^k is a vertex
+    bijection, so it maps matchings to matchings; parallel copies share
+    their endpoints, so this holds on multigraphs too.  Every linear window
+    is also a cyclic one, so the cyclic reading has the linear value v
+    whenever v <= m - s + 1.  Each scheme below has v <= s, and
+    s <= m - s + 1 once c >= 2:
+
+    * ``cms_complete_even`` and ``cms_complete_odd``: theta has order c and
+      v = m' - 1 <= s, writing m' for the function's parameter;
+    * ``cms_doubled_complete_odd``: the rim rotation has order 2m' = c and
+      v = m' < s, so ``ms(2K_{2m'+1}) = cms(2K_{2m'+1}) = m'``;
+    * ``ms_complete_bipartite``: theta^b is the identity and v <= a = s
+      (K_{1,1} is a single edge, m = s = v = 1).
+
+    ``ms_complete_odd_walecki`` stops after m' of the 2m' blocks: theta^m'
+    is a half-turn that maps the zigzag cycle onto itself only as a set, so
+    the argument does not apply and that sequence is read linearly only.
     """
 
-    base_matching: tuple[tuple[int, int], ...]
+    base: tuple[tuple[int, int], ...]
     rotation: tuple[int, ...]
     block_count: int
 
     @property
     def block_size(self) -> int:
-        return len(self.base_matching)
+        return len(self.base)
 
     def blocks(self) -> list[tuple[tuple[int, int], ...]]:
         out = []
-        block = list(self.base_matching)
+        block = list(self.base)
         for _ in range(self.block_count):
             out.append(tuple(block))
             block = [(self.rotation[a], self.rotation[b]) for a, b in block]
-        if {frozenset(e) for e in block} != \
-                {frozenset(e) for e in self.base_matching}:
+        if {frozenset(e) for e in block} != {frozenset(e) for e in self.base}:
             raise ValueError("rotation does not close up after block_count steps")
         return out
 
@@ -170,9 +197,10 @@ def ms_complete_odd_walecki(m: int) -> EdgeOrdering:
     """Linear ordering of K_{2m+1} with matching number exactly m.
 
     Concatenates the m rotated Hamilton cycles in alternate-edge order.
-    Read cyclically the same sequence drops below m: the wrap from the last
-    cycle back to the first breaks, which is what the doubled-multigraph
-    construction repairs.
+    Read cyclically the same sequence drops below m: theta^m is a half-turn,
+    not the identity, so the wrap from the last cycle back to the first is
+    no rotated image of a block junction (see :class:`RotationScheme`).
+    The doubled-multigraph construction repairs that.
     """
     if m < 2:
         raise InvalidFamilyParams(f"ms_complete_odd_walecki requires m >= 2, got {m}")
@@ -183,11 +211,12 @@ def cms_doubled_complete_odd(m: int) -> EdgeOrdering:
     """Cyclic ordering of the doubled multigraph 2K_{2m+1} with value m.
 
     Runs the Hamilton-cycle sweep twice: blocks m..2m-1 revisit the same
-    cycles rotated onward, covering each edge's parallel copy.  Since the
-    rim rotation has order 2m, every junction (including the wrap) is a
-    rotated image of the first one, so all windows of size m stay matchings.
-    A verbatim repeat of the linear sequence would not close up: its wrap
-    junction is the one that already fails in the single cyclic read.
+    cycles rotated onward, covering each edge's parallel copy.  A window
+    starting in block k is the theta^k-image of one starting in block 0,
+    which lies in the linear sweep's prefix, so the value is m.  The rim
+    rotation has order 2m, the block count, so the cyclic reading keeps
+    that value (see :class:`RotationScheme`), and so does the linear one:
+    ms(2K_{2m+1}) = m.
     """
     if m < 2:
         raise InvalidFamilyParams(f"cms_doubled_complete_odd requires m >= 2, got {m}")
@@ -197,24 +226,28 @@ def cms_doubled_complete_odd(m: int) -> EdgeOrdering:
 # ---------------------------------------------------------------------------
 # complete bipartite graphs
 
-def ms_complete_bipartite(p: int, q: int) -> EdgeOrdering:
-    """Linear ordering of K_{p,q} with matching number q-1 (p=q) or min(p,q).
+def ms_complete_bipartite(p: int, q: int, mode: Mode = LINEAR) -> EdgeOrdering:
+    """Ordering of K_{p,q} with matching number q-1 (p=q) or min(p,q).
 
-    With a <= b sides, block k lists the a cells (i, (i + s_k) mod b),
-    i = 0..a-1, of the a x b grid (rows on the smaller side), so every block
-    is a matching.  The shifts are s_k = k when a = b and 0, b-1, ..., 1
-    otherwise.  A row recurs exactly a positions later.  Square case: a
-    column recurs at least a-1 positions later, so the value is q-1.
-    Rectangular case: consecutive blocks shift by -1 (mod b), so a column
-    recurs at least a+1 positions later and the value is a.
+    With sides a <= b, the base block matches the i-th vertex of the smaller
+    side to the i-th of the larger, i < a.  theta fixes the smaller side and
+    shifts the larger side by +1 when a = b and by -1 otherwise; there are b
+    blocks, each a matching, and theta^b is the identity.  A smaller-side
+    vertex recurs exactly a positions later.  Square case: a larger-side
+    vertex recurs at least a-1 positions later, so the value is q-1.
+    Rectangular case: consecutive blocks shift by -1 (mod b), so a
+    larger-side vertex recurs at least a+1 positions later and the value is
+    a.  The cyclic reading keeps the value (see :class:`RotationScheme`).
     """
     g = complete_bipartite(p, q)
-    a, b = min(p, q), max(p, q)
-    shifts = range(b) if a == b else (0, *range(b - 1, 0, -1))
-    # id of grid cell (r, c): r*q + c, or c*q + r when the grid is transposed
-    row, col = (q, 1) if p <= q else (1, q)
-    return EdgeOrdering(g, tuple(i * row + (i + s) % b * col
-                                 for s in shifts for i in range(a)), LINEAR)
+    left, right = range(p), range(p, p + q)
+    small, big = (left, right) if p <= q else (right, left)
+    shift = 1 if p == q else -1
+    rotation = list(range(p + q))
+    for j, v in enumerate(big):
+        rotation[v] = big[(j + shift) % len(big)]
+    scheme = RotationScheme(tuple(zip(small, big)), tuple(rotation), len(big))
+    return scheme.ordering(g, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -320,19 +353,20 @@ class Family:
     """One named graph family: everything the package knows about it.
 
     An instance is named by ``arity`` parameters, each at least ``lower``,
-    and ``build`` makes its host graph.  ``constructions`` and ``formulas``
-    map each mode on record to the known-value ordering and to its
-    ``(value, provenance)``.  ``layout`` gives a bipartite host's
-    biadjacency row and column vertex orders.  ``verify_params`` picks the
-    instances ``catalog.verify_families`` checks from its range keywords.
+    and ``build`` makes its host graph.  ``ordering(*params, mode)`` builds
+    the known-value ordering and ``formula(*params, mode)`` gives its
+    ``(value, provenance)``, or raises NoKnownFormula for an instance with
+    no value on record.  ``layout`` gives a bipartite host's biadjacency
+    row and column vertex orders.  ``verify_params`` picks the instances
+    ``catalog.verify_families`` checks from its range keywords.
     """
 
     name: str
     arity: int
     lower: int
     build: Callable[..., Graph]
-    constructions: Mapping[Mode, Callable[..., EdgeOrdering]]
-    formulas: Mapping[Mode, Callable[..., tuple[int, str]]]
+    ordering: Callable[..., EdgeOrdering]
+    formula: Callable[..., tuple[int, str]]
     verify_params: Callable[..., Iterable[tuple[int, ...]]]
     layout: Callable[..., tuple[list[int], list[int]]] | None = None
 
@@ -344,11 +378,6 @@ class Family:
         if any(p < self.lower for p in params):
             raise InvalidFamilyParams(
                 f"{self.name} requires parameters >= {self.lower}, got {params}")
-
-
-def _per_mode(fn: Callable[..., object]) -> dict[Mode, Callable[..., object]]:
-    """Both modes, served by one function taking a ``mode`` keyword."""
-    return {mode: partial(fn, mode=mode) for mode in (LINEAR, CYCLIC)}
 
 
 # The records' adapters, value formulas and layouts.  Degenerate instances
@@ -382,13 +411,14 @@ def _complete_value(n: int, mode: Mode) -> tuple[int, str]:
     return (n - 3) // 2, "cms(K_n) = floor((n-3)/2) for odd n >= 5"
 
 
-def _complete_bipartite_value(p: int, q: int) -> tuple[int, str]:
+def _complete_bipartite_value(p: int, q: int, mode: Mode) -> tuple[int, str]:
     p, q = min(p, q), max(p, q)
+    ms = "ms" if mode == LINEAR else "cms"
     if p == q == 1:
         return 1, "K_{1,1} is a single edge: value m = 1"
     if p == q:
-        return q - 1, "ms(K_{q,q}) = q - 1"
-    return p, "ms(K_{p,q}) = min(p,q) when p != q"
+        return q - 1, f"{ms}(K_{{q,q}}) = q - 1"
+    return p, f"{ms}(K_{{p,q}}) = min(p,q) when p != q"
 
 
 def _even_cycle_layout(n: int) -> tuple[list[int], list[int]]:
@@ -420,54 +450,56 @@ def _path_layout(n: int) -> tuple[list[int], list[int]]:
             [2 * (q - j + 1) for j in range(1, q + 2)])
 
 
-def _cms_doubled_complete(n: int) -> EdgeOrdering:
-    if n < 5 or n % 2 == 0:
+def _doubled_complete_ordering(n: int, mode: Mode) -> EdgeOrdering:
+    if n % 2 == 0:
         raise InvalidFamilyParams(f"doubled_complete requires odd n >= 5, got {n}")
-    return cms_doubled_complete_odd((n - 1) // 2)
+    return with_mode(cms_doubled_complete_odd((n - 1) // 2), mode)
 
 
-def _cms_doubled_complete_value(n: int) -> tuple[int, str]:
+def _doubled_complete_value(n: int, mode: Mode) -> tuple[int, str]:
     if n < 5 or n % 2 == 0:
-        raise NoKnownFormula("doubled complete value on record: cyclic, odd n >= 5")
+        raise NoKnownFormula("doubled complete value on record: odd n >= 5")
+    if mode == LINEAR:
+        return (n - 1) // 2, "ms(2K_{2m+1}) = m, as cms <= ms <= nu = m"
     return (n - 1) // 2, "cms(2K_{2m+1}) = m"
 
 
 FAMILIES: dict[str, Family] = {f.name: f for f in (
     Family("complete", 1, 1, complete,
-           constructions=_per_mode(_complete_ordering),
-           formulas=_per_mode(_complete_value),
+           ordering=_complete_ordering,
+           formula=_complete_value,
            verify_params=lambda max_complete, **_: (
                (n,) for n in range(3, max_complete + 1))),
     Family("complete_bipartite", 2, 1, complete_bipartite,
-           constructions={LINEAR: ms_complete_bipartite},
-           formulas={LINEAR: _complete_bipartite_value},
+           ordering=ms_complete_bipartite,
+           formula=_complete_bipartite_value,
            verify_params=lambda max_bipartite, **_: (
                (p, q) for p in range(1, max_bipartite + 1)
                for q in range(p, max_bipartite + 1)),
            layout=lambda p, q: (list(range(p)), list(range(p, p + q)))),
     Family("cycle", 1, 3, cycle,
-           constructions=_per_mode(lambda n, mode: with_mode(cms_cycle(n), mode)),
-           formulas=_per_mode(lambda n, mode: (
-               (n - 1) // 2, "cms(C_n) = ms(C_n) = floor((n-1)/2)")),
+           ordering=lambda n, mode: with_mode(cms_cycle(n), mode),
+           formula=lambda n, mode: (
+               (n - 1) // 2, "cms(C_n) = ms(C_n) = floor((n-1)/2)"),
            verify_params=lambda max_cycle, **_: (
                (n,) for n in range(3, max_cycle + 1)),
            layout=_even_cycle_layout),
     Family("path", 1, 2, path,
-           constructions={LINEAR: ms_path, CYCLIC: cms_path},
-           formulas=_per_mode(_path_value),
+           ordering=lambda n, mode: EdgeOrdering(path(n), _path_sequence(n), mode),
+           formula=_path_value,
            verify_params=lambda max_cycle, **_: (
                (n,) for n in range(2, max_cycle + 1)),
            layout=_path_layout),
     Family("circulant3", 1, 3, circulant3,
-           constructions=_per_mode(ms_circulant3),
-           formulas=_per_mode(lambda n, mode: (
-               n - 1, "cms = ms = n - 1 for the I+P+P^-1 cubic bipartite graph")),
+           ordering=ms_circulant3,
+           formula=lambda n, mode: (
+               n - 1, "cms = ms = n - 1 for the I+P+P^-1 cubic bipartite graph"),
            verify_params=lambda max_circulant, **_: (
                (n,) for n in range(3, max_circulant + 1)),
            layout=lambda n: (list(range(n)), list(range(n, 2 * n)))),
     Family("doubled_complete", 1, 1, lambda n: multiply(complete(n), 2),
-           constructions={CYCLIC: _cms_doubled_complete},
-           formulas={CYCLIC: _cms_doubled_complete_value},
+           ordering=_doubled_complete_ordering,
+           formula=_doubled_complete_value,
            verify_params=lambda doubled_ms, **_: ((2 * m + 1,) for m in doubled_ms)),
 )}
 
@@ -506,12 +538,7 @@ def family_ordering(family: str, params: tuple[int, ...], mode: Mode) -> EdgeOrd
     """Dispatch a family name + parameters + mode to its construction.
 
     Raises InvalidFamilyParams for an unknown family or parameters out of
-    bounds, and NoKnownFormula for a mode without a recorded construction
-    (e.g. cyclic complete bipartite).
+    bounds or without a construction (e.g. even-order doubled complete).
     """
     FamilySpec(family, params)  # validates name and bounds
-    constructions = FAMILIES[family].constructions
-    if mode not in constructions:
-        raise NoKnownFormula(
-            f"{family} orderings are {' and '.join(constructions)} only")
-    return constructions[mode](*params)
+    return FAMILIES[family].ordering(*params, mode)

@@ -4,10 +4,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from matchseq import (CYCLIC, LINEAR, FamilySpec, complete,
+from matchseq import (CYCLIC, LINEAR, FamilySpec, cms_exact, complete,
                       cycle, explore_q1, explore_q2, explore_q3,
-                      max_matching_size, multiply, path, pendant_lemma_check,
-                      predicted, random_tree, verify_families)
+                      max_matching_size, ms_exact, multiply, path,
+                      pendant_lemma_check, predicted, random_tree,
+                      verify_families)
 from matchseq.errors import InvalidFamilyParams, NoKnownFormula
 from matchseq.graphs import Edge, Graph, complete_bipartite
 from matchseq import catalog
@@ -36,6 +37,11 @@ from matchseq.solver import VALUE_FOUND, SolveBudget, SolveResult
     ("circulant3", (7,), CYCLIC, 6),
     ("circulant3", (8,), LINEAR, 7),
     ("doubled_complete", (7,), CYCLIC, 3),
+    ("complete_bipartite", (4, 4), CYCLIC, 3),
+    ("complete_bipartite", (6, 4), CYCLIC, 4),
+    ("complete_bipartite", (1, 1), CYCLIC, 1),
+    ("doubled_complete", (5,), LINEAR, 2),
+    ("doubled_complete", (7,), LINEAR, 3),
 ])
 def test_predicted_values(family, params, mode, value):
     pv = predicted(family, mode, params)
@@ -53,9 +59,9 @@ def test_predicted_by_name_needs_params():
 
 
 @pytest.mark.parametrize("family,params,mode", [
-    ("complete_bipartite", (3, 3), CYCLIC),
+    ("doubled_complete", (3,), LINEAR),
     ("doubled_complete", (6,), CYCLIC),
-    ("doubled_complete", (7,), LINEAR),
+    ("doubled_complete", (6,), LINEAR),
     ("martian", (3,), LINEAR),
 ])
 def test_predicted_uncovered_cases(family, params, mode):
@@ -71,6 +77,24 @@ def test_predicted_uncovered_cases(family, params, mode):
 def test_predicted_wrong_arity(family, params, mode):
     with pytest.raises(InvalidFamilyParams):
         predicted(family, mode, params)
+
+
+def test_predicted_rejects_an_unknown_mode():
+    with pytest.raises(ValueError):
+        predicted("complete", "sideways", (5,))
+
+
+@pytest.mark.parametrize("p,q", [(p, q) for p in range(1, 7)
+                                 for q in range(p, 36 // p + 1)])
+def test_cms_exact_complete_bipartite_matches_predicted(p, q):
+    assert cms_exact(complete_bipartite(p, q)).value == \
+        predicted("complete_bipartite", CYCLIC, (p, q)).value
+
+
+@pytest.mark.parametrize("n", (5, 7))
+def test_ms_exact_doubled_complete_matches_predicted(n):
+    assert ms_exact(multiply(complete(n), 2)).value == \
+        predicted("doubled_complete", LINEAR, (n,)).value == (n - 1) // 2
 
 
 def test_corollary_even_vs_odd_complete():
@@ -101,18 +125,18 @@ def test_verify_out_of_budget_rows_are_unresolved():
                              max_circulant=3, doubled_ms=(2,), exact_up_to_edges=16,
                              budget=SolveBudget(max_nodes=10))
     unresolved = [r for r in report.rows if r.unresolved]
-    assert len(report.rows) == 35 and len(unresolved) == 12
+    assert len(report.rows) == 42 and len(unresolved) == 13
     for r in report.rows:
         if r.unresolved:
             assert r.exact is None and not r.passed and r.status == "unresolved"
             assert r.constructed == r.predicted
         else:  # finished cross-checks and rows with none keep their status
             assert r.passed and r.status == "pass"
-    assert not report.all_pass and not report.failed and report.unresolved == 12
+    assert not report.all_pass and not report.failed and report.unresolved == 13
     assert report.to_json_obj()["all_pass"] is False
     text = report.to_text()
     assert "all pass" not in text
-    assert text.endswith("35 cases, 12 UNRESOLVED (exact solve out of budget)\n")
+    assert text.endswith("42 cases, 13 UNRESOLVED (exact solve out of budget)\n")
 
 
 def test_verify_report_json_schema():

@@ -73,10 +73,11 @@ def test_construct_wrong_arity_exit2(capsys):
     assert err.startswith("error: ")
 
 
-def test_construct_unsupported_mode_exit2(capsys):
-    code, _, err = run_cli(capsys, "construct", "--family", "bipartite",
+def test_construct_bipartite_cyclic(capsys):
+    code, out, _ = run_cli(capsys, "construct", "--family", "bipartite",
                            "--params", "3", "3", "--mode", "cyclic")
-    assert code == 2
+    assert code == 0
+    assert out.splitlines()[-1] == "value=2 predicted=2"
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +301,7 @@ def test_verify_small_all_pass(capsys, tmp_path):
 def test_verify_default_ranges_all_pass(capsys):
     code, out, _ = run_cli(capsys, "verify")
     assert code == 0
-    assert "120 cases, all pass" in out
+    assert "158 cases, all pass" in out
 
 
 def _tiny_budget_verify(monkeypatch):
@@ -318,11 +319,11 @@ def test_verify_unresolved_rows_exit3(capsys, tmp_path, monkeypatch):
                            "--exact-up-to-edges", "16", "--json-out", str(json_out))
     assert code == 3
     assert "all pass" not in out
-    assert "12 UNRESOLVED" in out and " UNRES " in out
+    assert "13 UNRESOLVED" in out and " UNRES " in out
     payload = json.loads(json_out.read_text())
     assert payload["all_pass"] is False
     statuses = [r["status"] for r in payload["rows"]]
-    assert statuses.count("unresolved") == 12
+    assert statuses.count("unresolved") == 13
     assert set(statuses) == {"pass", "unresolved"}
 
 

@@ -12,7 +12,7 @@ from matchseq import (CYCLIC, LINEAR, FamilySpec, RotationScheme, SolveBudget,
                       ms_complete_odd_walecki, ms_path, multiply, path,
                       predicted, random_tree, render_biadjacency, with_mode)
 from matchseq.constructions import FAMILIES
-from matchseq.errors import InvalidFamilyParams, NoKnownFormula
+from matchseq.errors import InvalidFamilyParams
 
 
 def _pairs(o):
@@ -106,6 +106,19 @@ def test_rotation_scheme_rejects_a_pair_listed_past_its_copies():
     scheme = RotationScheme(((0, 1),), (0, 1), 2)
     with pytest.raises(ValueError):
         scheme.ordering(complete(2), LINEAR)
+
+
+@pytest.mark.parametrize("orderings", [
+    lambda: (cms_complete_even(m) for m in range(2, 13)),
+    lambda: (cms_complete_odd(m) for m in range(2, 13)),
+    lambda: (cms_doubled_complete_odd(m) for m in range(2, 7)),
+    lambda: (ms_complete_bipartite(p, q) for p in range(1, 13) for q in range(1, 13)),
+], ids=["complete_even", "complete_odd", "doubled_complete_odd", "complete_bipartite"])
+def test_rotation_sweeps_keep_their_value_read_cyclically(orderings):
+    # theta^block_count is the identity for each, see RotationScheme
+    for o in orderings():
+        assert matching_number(with_mode(o, LINEAR)).value == \
+            matching_number(with_mode(o, CYCLIC)).value
 
 
 def test_rotation_scheme_blocks_partition():
@@ -379,12 +392,10 @@ def test_family_ordering_dispatch():
 
 
 def test_family_ordering_rejections():
-    with pytest.raises(NoKnownFormula):
-        family_ordering("complete_bipartite", (3, 3), CYCLIC)
-    with pytest.raises(NoKnownFormula):
-        family_ordering("doubled_complete", (7,), LINEAR)
     with pytest.raises(InvalidFamilyParams):
         family_ordering("doubled_complete", (6,), CYCLIC)
+    with pytest.raises(InvalidFamilyParams):
+        family_ordering("doubled_complete", (3,), LINEAR)
     with pytest.raises(InvalidFamilyParams):
         family_ordering("complete", (1,), LINEAR)
     with pytest.raises(InvalidFamilyParams):
