@@ -44,23 +44,6 @@ from .orderings import (CYCLIC, LINEAR, EdgeOrdering, Mode, matching_number,
                         with_mode)
 
 
-def _ids_for(g: Graph, pairs: Sequence[tuple[int, int]]) -> tuple[int, ...]:
-    """Edge ids for ``pairs``: the j-th listing of a pair gets its j-th copy."""
-    index = g._pair_index
-    listed = [0] * g.num_edges  # listings so far, by the pair's first-copy id
-    out = []
-    for a, b in pairs:
-        ids = index.get((a, b) if a < b else (b, a))
-        if not ids:
-            raise ValueError(f"no edge {{{a},{b}}} in graph")
-        j = listed[ids[0]]
-        if j == len(ids):
-            raise ValueError(f"edge {{{a},{b}}} listed more than {j} time(s)")
-        listed[ids[0]] = j + 1
-        out.append(ids[j])
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class RotationScheme:
     """A base block swept around the vertex circle by a rotation.
@@ -70,9 +53,9 @@ class RotationScheme:
     ``rotation[v]`` is the image theta(v) of vertex v.  Block k is
     theta^k(base), k < ``block_count``; applying the rotation
     ``block_count`` times must map the base block back onto itself as a set,
-    which ``blocks()`` checks.  ``ordering()`` concatenates the blocks and
-    maps the j-th listing of a vertex pair to the pair's j-th parallel copy,
-    so a sweep may visit an edge of a multigraph once per copy.
+    which ``ordering()`` checks after its last rotation.  It maps block by
+    block the j-th listing of a vertex pair to the pair's j-th parallel
+    copy, so a sweep may visit an edge of a multigraph once per copy.
 
     **The cyclic reading.**  Let s = ``block_size``, c = ``block_count`` and
     m = s*c, and suppose theta^c fixes every vertex, not just the base block
@@ -107,19 +90,26 @@ class RotationScheme:
     def block_size(self) -> int:
         return len(self.base)
 
-    def blocks(self) -> list[tuple[tuple[int, int], ...]]:
-        out = []
-        block = list(self.base)
+    def ordering(self, g: Graph, mode: Mode) -> EdgeOrdering:
+        index = g._pair_index
+        listed = [0] * g.num_edges  # listings so far, by the pair's first-copy id
+        rotation = self.rotation
+        seq = []
+        block = self.base
         for _ in range(self.block_count):
-            out.append(tuple(block))
-            block = [(self.rotation[a], self.rotation[b]) for a, b in block]
+            for a, b in block:
+                ids = index.get((a, b) if a < b else (b, a))
+                if not ids:
+                    raise ValueError(f"no edge {{{a},{b}}} in graph")
+                j = listed[ids[0]]
+                if j == len(ids):
+                    raise ValueError(f"edge {{{a},{b}}} listed more than {j} time(s)")
+                listed[ids[0]] = j + 1
+                seq.append(ids[j])
+            block = [(rotation[a], rotation[b]) for a, b in block]
         if {frozenset(e) for e in block} != {frozenset(e) for e in self.base}:
             raise ValueError("rotation does not close up after block_count steps")
-        return out
-
-    def ordering(self, g: Graph, mode: Mode) -> EdgeOrdering:
-        pairs = [pair for block in self.blocks() for pair in block]
-        return EdgeOrdering(g, _ids_for(g, pairs), mode)
+        return EdgeOrdering(g, tuple(seq), mode)
 
 
 # ---------------------------------------------------------------------------

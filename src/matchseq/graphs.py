@@ -349,32 +349,28 @@ def write_edge_list(g: Graph) -> str:
 
 
 def read_edge_list(text: str) -> Graph:
-    """Parse the edge-list format; raises FormatError with line numbers."""
-    rows = []
+    """Parse the edge-list format; raises FormatError with line numbers.
+
+    One pass: the first non-comment line is the header, and each later one
+    is parsed as an edge when it is read.  So a bad edge line is reported
+    before a wrong edge count, which names the header's line.
+    """
+    header_line = 0
+    pairs: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
+        row = raw.strip()
+        if not row or row.startswith("#"):
             continue
-        rows.append((lineno, stripped))
-    if not rows:
-        raise FormatError("empty edge-list file")
-    lineno, header = rows[0]
-    parts = header.split()
-    allow_parallel = False
-    if len(parts) == 3 and parts[2] == "multi":
-        allow_parallel = True
-        parts = parts[:2]
-    if len(parts) != 2:
-        raise FormatError("header must be 'n m' or 'n m multi'", lineno)
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise FormatError("header must contain integers", lineno) from None
-    body = rows[1:]
-    if len(body) != m:
-        raise FormatError(f"expected {m} edge lines, found {len(body)}", lineno)
-    pairs = []
-    for lineno, row in body:
+        if not header_line:
+            header_line, parts = lineno, row.split()
+            allow_parallel = parts[2:] == ["multi"]
+            if len(parts) != 2 + allow_parallel:
+                raise FormatError("header must be 'n m' or 'n m multi'", lineno)
+            try:
+                n, m = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise FormatError("header must contain integers", lineno) from None
+            continue
         try:
             u_s, v_s = row.split()
         except ValueError:
@@ -388,6 +384,10 @@ def read_edge_list(text: str) -> Graph:
         if not (0 <= u < n and 0 <= v < n):
             raise FormatError(f"endpoint out of range [0, {n})", lineno)
         pairs.append((u, v))
+    if not header_line:
+        raise FormatError("empty edge-list file")
+    if len(pairs) != m:
+        raise FormatError(f"expected {m} edge lines, found {len(pairs)}", header_line)
     try:
         return _graph_from_pairs(n, pairs, allow_parallel)
     except ValueError as exc:

@@ -247,16 +247,15 @@ def render_biadjacency(o: EdgeOrdering, rows: Sequence[int],
     if o.graph.allow_parallel:
         raise InvalidOrdering("matrix rendering requires a simple graph")
     cell: dict[tuple[int, int], int] = {}
-    covered = 0
     for i, r in enumerate(rows):
         for j, c in enumerate(cols):
             ids = o.graph.edge_ids_between(r, c)
             if ids:
                 cell[(i, j)] = o.position(ids[0])
-                covered += 1
-    if covered != o.length:
+    # each edge in exactly one cell: m cells holding m distinct positions
+    if not len(cell) == len(set(cell.values())) == o.length:
         raise InvalidOrdering(
-            "row/column vertex classes do not cover every edge of the graph")
+            "row/column vertex classes do not put every edge in exactly one cell")
     width = len(str(o.length))
     lines = []
     for i in range(len(rows)):

@@ -69,6 +69,8 @@ class SolveBudget:
     def __post_init__(self):
         if not (self.max_nodes > 0 and self.max_seconds > 0):  # NaN fails too
             raise ValueError("budget limits must be positive")
+        if self.max_nodes % 1:  # its checkpoint, node max_nodes + 1, never comes
+            raise ValueError("max_nodes must be a whole number")
 
 
 @dataclass(frozen=True)
@@ -121,7 +123,8 @@ def exists_ordering(g: Graph, d: int, mode: Mode,
 def _search(g: Graph, d: int, mode: Mode, compat: list[int], max_nodes: int,
             deadline: float) -> SolveResult:
     """Decide target d on validated input: budget_exceeded at node max_nodes
-    + 1 or at the first checkpoint past ``deadline``, a perf_counter value."""
+    + 1 or at the first checkpoint past ``deadline``, a perf_counter value.
+    The caller times the call: ``elapsed_seconds`` is left at 0."""
     m = g.num_edges
     free = (1 << m) - 1
     cyclic = mode == CYCLIC
@@ -135,7 +138,6 @@ def _search(g: Graph, d: int, mode: Mode, compat: list[int], max_nodes: int,
     nodes = placed = 0
     greedy = None  # started at the first checkpoint
     check_at = 1  # the next checkpoint: node 1, each stride, node max_nodes+1
-    t0 = time.perf_counter()
 
     while cand or seq:
         if not cand:  # position exhausted: backtrack
@@ -151,7 +153,7 @@ def _search(g: Graph, d: int, mode: Mode, compat: list[int], max_nodes: int,
         if nodes == check_at:
             if nodes > max_nodes or time.perf_counter() > deadline:
                 return SolveResult(BUDGET_EXCEEDED, None, None, nodes, tuple(hist),
-                                   time.perf_counter() - t0, greedy_placements=placed)
+                                   greedy_placements=placed)
             check_at = min((nodes // _BUDGET_CHECK_STRIDE + 1) * _BUDGET_CHECK_STRIDE,
                            max_nodes + 1)
             if nodes > 1 and len(seq) < m:  # a checkpoint: run one greedy slice
@@ -164,16 +166,15 @@ def _search(g: Graph, d: int, mode: Mode, compat: list[int], max_nodes: int,
             break
         cand = _allowed(seq, free, compat, lo, wrap)
 
-    elapsed = time.perf_counter() - t0
     if len(seq) < m:
         return SolveResult(NONEXISTENCE_CERTIFIED, None, None, nodes,
-                           tuple(hist), elapsed, greedy_placements=placed)
+                           tuple(hist), greedy_placements=placed)
     witness = EdgeOrdering(g, tuple(seq), mode)
     checked = matching_number(witness).value
     if checked < d:  # independent checker must agree; a miss is a solver bug
         raise AssertionError(
             f"witness fails validation: checker value {checked} < target {d}")
-    return SolveResult(VALUE_FOUND, d, witness, nodes, tuple(hist), elapsed,
+    return SolveResult(VALUE_FOUND, d, witness, nodes, tuple(hist),
                        greedy_placements=placed)
 
 

@@ -63,6 +63,7 @@ def test_predicted_by_name_needs_params():
     ("doubled_complete", (6,), CYCLIC),
     ("doubled_complete", (6,), LINEAR),
     ("martian", (3,), LINEAR),
+    ("complete", (1,), LINEAR),  # K_1 has no edges
 ])
 def test_predicted_uncovered_cases(family, params, mode):
     with pytest.raises(NoKnownFormula):
@@ -224,6 +225,13 @@ def test_q2_four_vertices():
     assert not res.partial
     assert len(res.rows) == 10  # nonempty graphs on <= 4 vertices, up to iso
     assert res.max_gap == 0
+
+
+def test_q2_row_with_a_missing_value_has_no_gap():
+    for ms, cms in ((2, None), (None, 1), (None, None)):
+        row = catalog.Q2Row(((0, 1), (2, 3)), ms, cms)
+        assert not row.resolved and row.gap is None
+    assert catalog.Q2Row(((0, 1),), 1, 1).gap == 0
 
 
 def test_q2_gap_one_on_five_vertices():

@@ -95,10 +95,18 @@ def test_complete_builders_reject_small_m(builder):
 
 
 def test_rotation_scheme_closure_checked():
-    # a 5-cycle rotation cannot bring a K_4 matching back in 3 steps
-    bad = RotationScheme(((0, 1), (2, 3)), (1, 2, 3, 4, 0), 3)
-    with pytest.raises(ValueError):
-        bad.blocks()
+    # every listed pair is an edge of K_6 once, but after 3 steps of
+    # v -> v+1 mod 6 the base {0,1} has moved to {3,4}
+    bad = RotationScheme(((0, 1),), (1, 2, 3, 4, 5, 0), 3)
+    with pytest.raises(ValueError, match="close up"):
+        bad.ordering(complete(6), LINEAR)
+
+
+def test_rotation_scheme_rejects_a_pair_the_host_lacks():
+    # {0,1} joins two left vertices of K_{2,2}
+    scheme = RotationScheme(((0, 1),), (1, 0, 2, 3), 2)
+    with pytest.raises(ValueError, match=r"no edge \{0,1\} in graph"):
+        scheme.ordering(complete_bipartite(2, 2), LINEAR)
 
 
 def test_rotation_scheme_rejects_a_pair_listed_past_its_copies():
@@ -125,10 +133,9 @@ def test_rotation_scheme_blocks_partition():
     base = ((0, 1), (2, 3))
     phi = (0, 2, 3, 1)  # fix 0, rotate 1->2->3->1
     scheme = RotationScheme(base, phi, 3)
-    blocks = scheme.blocks()
-    assert len(blocks) == 3 and scheme.block_size == 2
-    all_edges = {frozenset(e) for b in blocks for e in b}
-    assert len(all_edges) == 6  # every edge of K_4 exactly once
+    o = scheme.ordering(complete(4), LINEAR)
+    assert scheme.block_size == 2
+    assert sorted(o.sequence) == list(range(6))  # every edge of K_4 exactly once
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,7 @@ def test_is_connected():
     two_parts = Graph(4, (Edge(0, 0, 1), Edge(1, 2, 3)))
     assert not is_connected(two_parts)
     assert not is_tree(two_parts)
+    assert is_connected(Graph(1, ()))
 
 
 def test_edge_list_roundtrip():
@@ -298,8 +299,13 @@ def test_edge_list_empty_file():
     ("3 1\n0 1 2\n", "edge line must be 'u v'", 2),
     ("0 0\n", "graph order must be >= 1, got 0", None),
     ("3 2\n0 1\n1 0\n", "duplicate edge {0,1} in a simple graph", None),
+    ("3 1 simple\n0 1\n", "header must be 'n m' or 'n m multi'", 1),
+    ("3 1 multi x\n0 1\n", "header must be 'n m' or 'n m multi'", 1),
+    ("3 3\n0 1\n# c\n2 2\n", "loops are not allowed", 4),
+    ("# c\n3 3\n\n0 1\n1 2\n", "expected 3 edge lines, found 2", 2),
 ], ids=["non-integer-header", "one-token-edge", "three-token-edge", "header-0-0",
-        "repeated-pair"])
+        "repeated-pair", "unknown-header-flag", "extra-header-token",
+        "bad-line-before-count", "short-count-after-blank-line"])
 def test_edge_list_rejections(text, message, bad_line):
     with pytest.raises(FormatError) as err:
         read_edge_list(text)

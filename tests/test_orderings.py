@@ -385,6 +385,16 @@ def test_render_rejects_uncovered_edges():
         render_biadjacency(o, [0, 1], [2, 3])
 
 
+@pytest.mark.parametrize("rows,cols", [
+    ([0, 1], [0, 1]),  # {0,1} in two cells, {2,3} in none
+    ([0, 0, 2], [1, 3]),  # row vertex 0 twice: {0,1} in two cells
+], ids=["edge-twice-edge-missed", "row-vertex-twice"])
+def test_render_rejects_an_edge_outside_exactly_one_cell(rows, cols):
+    o = EdgeOrdering(_graph_from_pairs(4, [(0, 1), (2, 3)]), (0, 1), LINEAR)
+    with pytest.raises(InvalidOrdering, match="exactly one cell"):
+        render_biadjacency(o, rows, cols)
+
+
 def test_render_rejects_multigraphs():
     g = multiply(path(2), 2)
     o = EdgeOrdering(g, (0, 1), LINEAR)

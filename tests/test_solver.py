@@ -188,6 +188,7 @@ def test_undecided_results_carry_no_value(solve, status):
 @pytest.mark.parametrize("limits", [
     dict(max_nodes=0), dict(max_seconds=0.0), dict(max_seconds=-1.0),
     dict(max_seconds=float("nan")), dict(max_nodes=float("nan")),
+    dict(max_nodes=1000.5),  # not whole: node max_nodes + 1 is never reached
 ])
 def test_budget_limits_must_be_positive(limits):
     with pytest.raises(ValueError):
