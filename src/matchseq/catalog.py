@@ -232,7 +232,7 @@ def pendant_lemma_check(tree: Graph, vertex: int | None = None,
 #
 # Each explorer's budget covers the whole call: it takes one deadline when
 # it starts, every exact solve gets the seconds left, and a cell whose turn
-# comes after the deadline stays None without solving.
+# comes after the deadline stays None without solving (or building its host).
 
 def _value_by(deadline: float, solve, g: Graph, budget: SolveBudget) -> int | None:
     """solve(g).value under budget's node cap and the seconds left before
@@ -267,6 +267,9 @@ def explore_q1(g: Graph, k_max: int, budget: SolveBudget = SolveBudget()) -> Q1R
     p = max_matching_size(g)
     rows = []
     for k in range(1, k_max + 1):
+        if time.perf_counter() >= deadline:
+            rows.append(Q1Row(k, None, None, None, None))
+            continue
         gk = multiply(g, k)
         ms = _value_by(deadline, ms_exact, gk, budget)
         cms = _value_by(deadline, cms_exact, gk, budget)

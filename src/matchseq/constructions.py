@@ -151,34 +151,23 @@ def cms_complete_odd(m: int) -> EdgeOrdering:
 # ---------------------------------------------------------------------------
 # complete graphs of odd order, linear, via Hamilton-cycle decomposition
 
-def _zigzag_cycle(m: int) -> list[tuple[int, int]]:
-    # Hamilton cycle (c, 0, 1, 2m-1, 2, 2m-2, ..., m+1, m, c) with hub c = 2m.
-    c = 2 * m
-    verts = [c, 0]
-    lo, hi = 1, 2 * m - 1
-    while lo <= hi:
-        verts.append(lo)
-        lo += 1
-        if lo <= hi:
-            verts.append(hi)
-            hi -= 1
-    return [(verts[i], verts[(i + 1) % len(verts)]) for i in range(len(verts))]
-
-
 def _walecki_scheme(m: int, count: int) -> RotationScheme:
     """The first ``count`` rotated Hamilton cycles, each in alternate-edge order.
 
-    The alternate-edge traversal of an odd cycle (edge indices 0, 2, 4, ...
-    taken twice around) keeps any m consecutive of its 2m+1 edges disjoint.
-    theta rotates the rim 0..2m-1 by one step and fixes the hub 2m, and the
-    traversal start is locked at edge 0: with that start every window
-    spanning a block boundary is a matching as well, which the fixture
-    tests pin down.  The zigzag cycle is symmetric under the half-turn
-    theta^m, so both m and 2m blocks close up.
+    The base is the zigzag Hamilton cycle (2m, 0, 1, 2m-1, 2, 2m-2, ...,
+    m+1, m) on the hub 2m and the rim 0..2m-1, listed by its edges
+    k = 2j mod (2m+1), j = 0..2m, where edge k joins its k-th and (k+1)-th
+    vertices.  That alternate-edge traversal of an odd cycle (twice around)
+    keeps any m consecutive of its 2m+1 edges disjoint.  theta rotates the
+    rim by one step and fixes the hub, and the traversal start is locked at
+    edge 0: with that start every window spanning a block boundary is a
+    matching as well, which the fixture tests pin down.  The zigzag cycle
+    is symmetric under the half-turn theta^m, so both m and 2m blocks close
+    up.
     """
-    cycle_edges = _zigzag_cycle(m)
-    n_edges = len(cycle_edges)
-    traversal = tuple(cycle_edges[(2 * j) % n_edges] for j in range(n_edges))
+    n = 2 * m + 1
+    verts = (2 * m, 0, *_ends_inward(range(2 * m - 1, 0, -1)))
+    traversal = tuple((verts[2 * j % n], verts[(2 * j + 1) % n]) for j in range(n))
     theta = tuple(range(1, 2 * m)) + (0, 2 * m)
     return RotationScheme(traversal, theta, count)
 

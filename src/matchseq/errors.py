@@ -22,7 +22,7 @@ class InvalidOrdering(MatchseqError):
 
 
 class InvalidTarget(MatchseqError):
-    """Solver target d outside [1, m]."""
+    """Solver target d that is not an int in [1, m], no edges, or a bad mode."""
 
 
 class NoKnownFormula(MatchseqError):

@@ -110,8 +110,8 @@ def exists_ordering(g: Graph, d: int, mode: Mode,
     m = g.num_edges
     if m == 0:
         raise InvalidTarget("graph has no edges")
-    if not (1 <= d <= m):
-        raise InvalidTarget(f"target d={d} outside [1, {m}]")
+    if not isinstance(d, int) or not (1 <= d <= m):
+        raise InvalidTarget(f"target d={d!r} is not an integer in [1, {m}]")
     if mode not in (LINEAR, CYCLIC):
         raise InvalidTarget(f"bad mode {mode!r}")
     t0 = time.perf_counter()

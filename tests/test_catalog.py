@@ -305,6 +305,20 @@ def test_q1_budget_covers_the_whole_call(monkeypatch):
         (1, 1, True), (1, None, False), (None, None, False)]
 
 
+def test_q1_builds_no_host_after_the_deadline(monkeypatch):
+    _stub_solves(monkeypatch, 0.4)
+    built = []
+
+    def multiply(g, k):
+        built.append(k)
+        return g
+
+    monkeypatch.setattr(catalog, "multiply", multiply)
+    explore_q1(complete(3), 3, SolveBudget(max_seconds=1.0))
+    # k = 2 starts at 0.8 s, before the deadline; k = 3 would start at 1.2 s
+    assert built == [1, 2]
+
+
 def test_q2_budget_covers_the_whole_call(monkeypatch):
     given = _stub_solves(monkeypatch, 0.4)
     res = explore_q2(3, SolveBudget(max_seconds=1.0))

@@ -366,8 +366,18 @@ def test_circulant_n3_agrees_with_exact_solver():
     (lambda: ms_circulant3(10, LINEAR), (1, 4, 7, 10, 13, 16, 19, 22, 25, 0, 29,
                                          5, 6, 11, 12, 17, 18, 23, 24, 28, 3, 2,
                                          9, 8, 15, 14, 21, 20, 27, 26)),
+    (lambda: cms_complete_even(3), (0, 11, 12, 1, 6, 14, 2, 10, 8, 3, 13, 5, 4,
+                                    7, 9)),
+    (lambda: cms_complete_odd(3), (10, 13, 15, 1, 17, 18, 7, 3, 20, 12, 9, 5,
+                                   16, 14, 0, 19, 2, 6, 4, 8, 11)),
+    (lambda: ms_complete_odd_walecki(2), (3, 5, 8, 0, 7, 6, 1, 9, 4, 2)),
+    (lambda: ms_complete_odd_walecki(3), (5, 9, 12, 17, 0, 13, 15, 10, 1, 16,
+                                          19, 6, 2, 18, 14, 7, 3, 20, 11, 8, 4)),
+    (lambda: cms_doubled_complete_odd(2), (3, 5, 8, 0, 7, 6, 1, 9, 4, 2, 18, 15,
+                                           13, 17, 10, 19, 11, 16, 12, 14)),
 ], ids=["C9", "C10", "C20", "C24", "P2", "P9", "P12", "K1_1", "K3_3", "K3_7",
-        "K7_3", "circ3", "circ4", "circ9", "circ10"])
+        "K7_3", "circ3", "circ4", "circ9", "circ10", "K6", "K7", "walecki5",
+        "walecki7", "2K5"])
 def test_exact_sequences_pinned(make, seq):
     assert make().sequence == seq
 

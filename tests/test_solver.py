@@ -198,7 +198,8 @@ def test_budget_limits_must_be_positive(limits):
 @pytest.mark.parametrize("g,d,mode", [
     (complete(4), 0, LINEAR), (complete(4), 100, LINEAR),
     (Graph(3, ()), 1, LINEAR), (complete(4), 1, "spiral"),
-], ids=["0", "100", "edgeless", "bad-mode"])
+    (complete(5), 2.5, CYCLIC), (complete(5), 2.0, CYCLIC),
+], ids=["0", "100", "edgeless", "bad-mode", "fractional", "float"])
 def test_invalid_targets(g, d, mode):
     with pytest.raises(InvalidTarget):
         exists_ordering(g, d, mode)
