@@ -316,7 +316,9 @@ def _canonical_edge_subsets(n: int):
     """Yield one representative edge set per isomorphism class on n labels.
 
     A subset is kept iff its edge bitmask is minimal over all vertex
-    permutations.
+    permutations.  So each one uses exactly the vertices 0..k-1 for some
+    k: moving the edges of a vertex v onto an isolated vertex u < v sends
+    each edge to an earlier pair and so lowers the mask.
     """
     pairs = list(itertools.combinations(range(n), 2))
     index = {p: i for i, p in enumerate(pairs)}
@@ -351,14 +353,10 @@ def explore_q2(n_max: int, budget: SolveBudget = SolveBudget(),
         if time.perf_counter() > deadline:
             partial = True
             break
-        g = _graph_from_pairs(n_max, pair_list)
-        if connected_only:
-            relabel = {v: i for i, v in
-                       enumerate(sorted({v for p in pair_list for v in p}))}
-            sub = _graph_from_pairs(len(relabel),
-                                    [(relabel[a], relabel[b]) for a, b in pair_list])
-            if not is_connected(sub):
-                continue
+        # the class spans vertices 0..k-1, see _canonical_edge_subsets
+        g = _graph_from_pairs(1 + max(v for _, v in pair_list), pair_list)
+        if connected_only and not is_connected(g):
+            continue
         row = Q2Row(tuple(pair_list), _value_by(deadline, ms_exact, g, budget),
                     _value_by(deadline, cms_exact, g, budget))
         partial = partial or not row.resolved

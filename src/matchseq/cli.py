@@ -22,7 +22,7 @@ import json
 import sys
 
 from . import catalog, constructions, graphs, orderings, solver
-from .errors import MatchseqError
+from .errors import FormatError, MatchseqError
 
 _FAMILY_ALIASES = {"bipartite": "complete_bipartite"}
 
@@ -83,9 +83,17 @@ def _positive_seconds(text: str) -> float:
     raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
 
 
-def _read_graph(path: str) -> graphs.Graph:
+def _read_text(path: str) -> str:
+    """The text of an input file; FormatError, naming it, if it is not UTF-8."""
     with open(path, "r", encoding="utf-8") as fh:
-        return graphs.read_edge_list(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path} is not UTF-8 text ({exc.reason})") from None
+
+
+def _read_graph(path: str) -> graphs.Graph:
+    return graphs.read_edge_list(_read_text(path))
 
 
 def _cmd_construct(args) -> int:
@@ -112,8 +120,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_check(args) -> int:
     g = _read_graph(args.graph)
-    with open(args.ordering, "r", encoding="utf-8") as fh:
-        ordering = orderings.read_ordering(fh.read(), g, args.mode)
+    ordering = orderings.read_ordering(_read_text(args.ordering), g, args.mode)
     report = orderings.matching_number(ordering)
     print(f"value={report.value}")
     if report.violating_pair is None:

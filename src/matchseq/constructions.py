@@ -40,8 +40,8 @@ from typing import Callable, Iterable, Sequence
 from .errors import InvalidFamilyParams, NoKnownFormula
 from .graphs import (Graph, circulant3, complete, complete_bipartite, cycle,
                      multiply, path)
-from .orderings import (CYCLIC, LINEAR, EdgeOrdering, Mode, matching_number,
-                        with_mode)
+from .orderings import (CYCLIC, LINEAR, MODES, EdgeOrdering, Mode,
+                        matching_number, with_mode)
 
 
 @dataclass(frozen=True)
@@ -354,6 +354,9 @@ class Family:
         if len(params) != self.arity:
             raise InvalidFamilyParams(
                 f"{self.name} takes {self.arity} parameter(s), got {params}")
+        if not all(isinstance(p, int) for p in params):
+            raise InvalidFamilyParams(
+                f"{self.name} takes integer parameters, got {params}")
         if any(p < self.lower for p in params):
             raise InvalidFamilyParams(
                 f"{self.name} requires parameters >= {self.lower}, got {params}")
@@ -421,12 +424,7 @@ def _path_value(n: int, mode: Mode) -> tuple[int, str]:
 
 
 def _path_layout(n: int) -> tuple[list[int], list[int]]:
-    q = n // 2
-    if n % 2 == 0:
-        return ([2 * (q - i) for i in range(1, q + 1)],
-                [2 * (q - j) + 1 for j in range(1, q + 1)])
-    return ([2 * (q - i) + 1 for i in range(1, q + 1)],
-            [2 * (q - j + 1) for j in range(1, q + 2)])
+    return list(range(n - 2, -1, -2)), list(range(n - 1, -1, -2))
 
 
 def _doubled_complete_ordering(n: int, mode: Mode) -> EdgeOrdering:
@@ -517,7 +515,10 @@ def family_ordering(family: str, params: tuple[int, ...], mode: Mode) -> EdgeOrd
     """Dispatch a family name + parameters + mode to its construction.
 
     Raises InvalidFamilyParams for an unknown family or parameters out of
-    bounds or without a construction (e.g. even-order doubled complete).
+    bounds or without a construction (e.g. even-order doubled complete),
+    and ValueError for a mode outside MODES.
     """
     FamilySpec(family, params)  # validates name and bounds
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     return FAMILIES[family].ordering(*params, mode)

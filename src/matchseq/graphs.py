@@ -196,8 +196,6 @@ def _neighbour_sets(g: Graph) -> list[set[int]]:
 
 def is_connected(g: Graph) -> bool:
     """Connectivity over vertices (isolated vertices count)."""
-    if g.order == 1:
-        return True
     neigh = _neighbour_sets(g)
     seen = {0}
     stack = [0]
@@ -323,8 +321,6 @@ def random_tree(order: int, rng: random.Random) -> Graph:
     """Uniform random labeled tree via a random Pruefer sequence."""
     if order < 2:
         raise InvalidFamilyParams(f"random_tree requires order >= 2, got {order}")
-    if order == 2:
-        return _graph_from_pairs(2, [(0, 1)])
     seq = [rng.randrange(order) for _ in range(order - 2)]
     degree = [1] * order
     for x in seq:

@@ -259,6 +259,13 @@ def test_q2_rejects_large_n():
         explore_q2(8)
 
 
+def test_canonical_classes_use_vertices_0_to_k_minus_1():
+    for n in range(2, 7):
+        for pairs in catalog._canonical_edge_subsets(n):
+            used = {v for p in pairs for v in p}
+            assert used == set(range(len(used))), (n, pairs)
+
+
 def test_q3_single_edge():
     res = explore_q3(path(2))
     assert res.ms_single == 1 and res.cms_doubled == 1 and res.equal

@@ -175,6 +175,24 @@ def test_check_not_a_permutation_exit2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "--graph", "BAD", "--ordering", "ORD", "--mode", "linear"),
+    ("check", "--graph", "GOOD", "--ordering", "BAD", "--mode", "linear"),
+    ("solve", "--graph", "BAD", "--mode", "linear"),
+    ("explore", "q3", "--graph", "BAD"),
+], ids=["check-graph", "check-ordering", "solve", "explore-q3"])
+def test_non_utf8_input_exit2(capsys, tmp_path, argv):
+    paths = {"GOOD": tmp_path / "g.txt", "ORD": tmp_path / "o.txt",
+             "BAD": tmp_path / "bad.txt"}
+    paths["GOOD"].write_text("3 2\n0 1\n1 2\n")
+    paths["ORD"].write_text("0-1 1-2\n")
+    paths["BAD"].write_bytes(b"\xff\xfe 3 2\n0 1\n")
+    code, _, err = run_cli(capsys, *(str(paths.get(a, a)) for a in argv))
+    assert code == 2
+    assert err.startswith("error:")
+    assert str(paths["BAD"]) in err
+
+
 # ---------------------------------------------------------------------------
 # solve
 

@@ -419,6 +419,12 @@ def test_family_ordering_rejections():
         family_ordering("nosuch", (3,), LINEAR)
 
 
+@pytest.mark.parametrize("family,params", [("complete", (7,)), ("cycle", (6,))])
+def test_family_ordering_rejects_an_unknown_mode(family, params):
+    with pytest.raises(ValueError, match="mode must be one of"):
+        family_ordering(family, params, "sideways")
+
+
 @pytest.mark.parametrize("call", [
     lambda: complete(0), lambda: complete_bipartite(0, 3), lambda: cycle(2),
     lambda: path(1), lambda: circulant3(2), lambda: ms_complete_bipartite(0, 3),

@@ -63,6 +63,7 @@ def test_family_degree_sequences(spec, expected_degrees):
     ("complete", (0,)), ("cycle", (2,)), ("path", (1,)),
     ("circulant3", (2,)), ("complete_bipartite", (0, 3)),
     ("nosuch", (3,)), ("complete", (3, 3)),
+    ("complete", (6.5,)), ("cycle", (6.0,)),
 ])
 def test_family_param_bounds(family, params):
     with pytest.raises(InvalidFamilyParams):
@@ -251,6 +252,9 @@ def test_random_tree_is_tree():
         t = random_tree(order, rng)
         assert t.order == order
         assert is_tree(t)
+    state = rng.getstate()
+    assert random_tree(2, rng).edges == (Edge(0, 0, 1),)
+    assert rng.getstate() == state  # the empty Pruefer sequence draws nothing
 
 
 def test_is_connected():

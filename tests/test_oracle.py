@@ -1,0 +1,89 @@
+"""An independent oracle for ms/cms, written from the definition.
+
+An ordering e_1..e_m has value >= d when every d consecutive edges form a
+matching (cyclically in cyclic mode): equivalently, every two positions
+closer than d hold disjoint edges.  The oracle searches orderings depth
+first over edge ids with plain sets, and shares no code with the solver:
+no bitmasks, candidate windows, compat masks, matching bound or greedy.
+"""
+
+import pytest
+
+from matchseq import (CYCLIC, LINEAR, circulant3, cms_exact, complete, cycle,
+                      exists_ordering, ms_exact, multiply, path)
+from matchseq.catalog import _canonical_edge_subsets
+from matchseq.graphs import _graph_from_pairs
+from matchseq.solver import NONEXISTENCE_CERTIFIED
+
+
+def _oracle_search(g, d, mode):
+    """(found, placements) of a DFS for an ordering of value >= d.
+
+    Candidates are tried in ascending edge id, and cyclic mode puts edge 0
+    first, so a refutation visits the prefixes the solver visits.
+    """
+    ends = [{e.u, e.v} for e in g.edges]
+    m = len(ends)
+    cyclic = mode == CYCLIC
+    order, used, placements = [], set(), [0]
+
+    def close(i, j):
+        return j - i < d or (cyclic and m - (j - i) < d)
+
+    def extend():
+        j = len(order)
+        if j == m:
+            return True
+        # the vertices of the placed edges closer than d to position j
+        near = set().union(*(ends[f] for i, f in enumerate(order) if close(i, j)))
+        for e in ([0] if cyclic and j == 0 else range(m)):
+            if e in used or not ends[e].isdisjoint(near):
+                continue
+            placements[0] += 1
+            order.append(e)
+            used.add(e)
+            if extend():
+                return True
+            used.remove(order.pop())
+        return False
+
+    return extend(), placements[0]
+
+
+def _oracle_value(g, mode):
+    for d in range(min(g.num_edges, g.order // 2), 0, -1):
+        if _oracle_search(g, d, mode)[0]:
+            return d
+    raise AssertionError("every ordering has value >= 1")
+
+
+def test_solver_values_match_the_oracle_on_all_6_vertex_classes():
+    classes = list(_canonical_edge_subsets(6))
+    assert len(classes) == 155
+    for pairs in classes:
+        g = _graph_from_pairs(6, pairs)
+        assert ms_exact(g).value == _oracle_value(g, LINEAR), pairs
+        assert cms_exact(g).value == _oracle_value(g, CYCLIC), pairs
+
+
+@pytest.mark.parametrize("g", [
+    multiply(complete(4), 2), multiply(path(5), 2), multiply(cycle(5), 2),
+    multiply(complete(3), 3),
+], ids=["2K4", "2P5", "2C5", "3K3"])
+@pytest.mark.parametrize("mode,exact", [(LINEAR, ms_exact), (CYCLIC, cms_exact)])
+def test_solver_values_match_the_oracle_on_multigraphs(g, mode, exact):
+    assert exact(g).value == _oracle_value(g, mode)
+
+
+@pytest.mark.parametrize("g,d,mode,nodes", [
+    (complete(5), 2, CYCLIC, 250),
+    (cycle(9), 5, CYCLIC, 51),
+    (circulant3(6), 6, CYCLIC, 2_652),
+    (complete(7), 3, CYCLIC, 39_341),
+    (path(8), 4, LINEAR, 121),
+], ids=["K5", "C9", "circulant3_6", "K7", "P8"])
+def test_refutations_replay_node_for_node(g, d, mode, nodes):
+    res = exists_ordering(g, d, mode)
+    assert res.status == NONEXISTENCE_CERTIFIED
+    assert res.nodes_explored == nodes
+    assert _oracle_search(g, d, mode) == (False, nodes)
