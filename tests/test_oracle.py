@@ -10,10 +10,12 @@ no bitmasks, candidate windows, compat masks, matching bound or greedy.
 import pytest
 
 from matchseq import (CYCLIC, LINEAR, circulant3, cms_exact, complete, cycle,
-                      exists_ordering, ms_exact, multiply, path)
-from matchseq.catalog import _canonical_edge_subsets
+                      exists_ordering, max_matching_size, ms_exact, multiply,
+                      path)
+from matchseq.catalog import _canonical_edge_subsets, verify_families
+from matchseq.constructions import family_ordering
 from matchseq.graphs import _graph_from_pairs
-from matchseq.solver import NONEXISTENCE_CERTIFIED
+from matchseq.solver import NONEXISTENCE_CERTIFIED, VALUE_FOUND
 
 
 def _oracle_search(g, d, mode):
@@ -87,3 +89,24 @@ def test_refutations_replay_node_for_node(g, d, mode, nodes):
     assert res.status == NONEXISTENCE_CERTIFIED
     assert res.nodes_explored == nodes
     assert _oracle_search(g, d, mode) == (False, nodes)
+
+
+def test_verify_cross_checks_replay_node_for_node():
+    # every search of the exact solves of `verify --exact-up-to-edges 12`:
+    # d = nu down to the row's value, refutations and the closing find
+    rows = [r for r in verify_families(exact_up_to_edges=12).rows
+            if r.exact is not None]
+    refutations = 0
+    for row in rows:
+        g = family_ordering(row.family, row.params, row.mode).graph
+        replayed = 0
+        for d in range(max_matching_size(g), max(row.exact, 2) - 1, -1):
+            res = exists_ordering(g, d, row.mode)
+            found = res.status == VALUE_FOUND
+            assert found == (d == row.exact), (row.case, d)
+            assert _oracle_search(g, d, row.mode) == (found, res.nodes_explored), (
+                row.case, d)
+            replayed += res.nodes_explored
+            refutations += not found
+        assert replayed == row.nodes, row.case
+    assert (len(rows), refutations, sum(r.nodes for r in rows)) == (84, 36, 25_826)

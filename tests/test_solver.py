@@ -14,7 +14,7 @@ from matchseq.catalog import _canonical_edge_subsets
 from matchseq.errors import InvalidTarget
 from matchseq.graphs import Graph, _graph_from_pairs
 from matchseq.solver import (_GREEDY_SCANS, _GREEDY_SLICE, _compat_masks,
-                             _greedy_restarts)
+                             _greedy_restarts, _window_rule)
 
 
 def test_k5_cyclic_d2_nonexistence():
@@ -290,6 +290,49 @@ def test_greedy_restarts_yield_only_checked_witnesses(g):
                 assert mode == LINEAR or seq[0] == 0
 
 
+def _window_by_definition(seq, free, d, m, cyclic, compat):
+    """The candidates of position len(seq), ANDed slice by slice."""
+    p = len(seq)
+    mask = free
+    for e in seq[max(0, p - d + 1):]:
+        mask &= compat[e]
+    for e in seq[:max(0, p + d - m)] if cyclic else ():
+        mask &= compat[e]
+    return mask
+
+
+def _seeded_multigraph() -> Graph:
+    rng = random.Random(2024)
+    pairs = list(itertools.combinations(range(7), 2))
+    return _graph_from_pairs(7, [rng.choice(pairs) for _ in range(30)],
+                             allow_parallel=True)
+
+
+@pytest.mark.parametrize("g", [cycle(40), complete(9), _seeded_multigraph()],
+                         ids=["C40", "K9", "multigraph7-30"])
+@pytest.mark.parametrize("mode", [LINEAR, CYCLIC])
+def test_window_rule_matches_its_definition(g, mode):
+    # random pushes and pops over every d, d = 1 and d = m included: each
+    # round pops to a depth, below block starts, and refills over the
+    # entries the popped positions left behind
+    m = g.num_edges
+    cyclic = mode == CYCLIC
+    compat = _compat_masks(g)
+    rng = random.Random(m)
+    for d in range(1, m + 1):
+        push = _window_rule(m, d, cyclic, compat)
+        seq, free = [], (1 << m) - 1
+        for depth in [0, 0] + [rng.randrange(m - 1) for _ in range(4)]:
+            while len(seq) > depth:
+                free |= 1 << seq.pop()
+            while len(seq) < m - 1:
+                e = rng.choice([e for e in range(m) if free >> e & 1])
+                seq.append(e)
+                free ^= 1 << e
+                assert free & push(seq) == _window_by_definition(
+                    seq, free, d, m, cyclic, compat), (d, seq)
+
+
 def test_greedy_slice_stops_at_the_scan_limit():
     # K60 has 1,770 edges: scoring position 1 spans two slices, and each
     # slice stops after _GREEDY_SCANS candidates
@@ -331,6 +374,17 @@ def test_refutation_runs_the_heuristic_without_moving_its_count():
 def test_node_counts_pinned(solve, host, nodes):
     # counts of the reference search: a change of search order shows here
     assert solve(host()).nodes_explored == nodes
+
+
+@pytest.mark.parametrize("g,d,budget,want", [
+    (path(1025), 512, SolveBudget(20_000), (BUDGET_EXCEEDED, 20_001, 4)),
+    (path(600), 299, SolveBudget(), (VALUE_FOUND, 599, 0)),
+], ids=["P1025-d512", "P600-d299"])
+def test_large_d_searches_pinned(g, d, budget, want):
+    # windows of hundreds of positions: a change to the candidate rule's
+    # block bookkeeping that moves the search shows here
+    res = exists_ordering(g, d, LINEAR, budget)
+    assert (res.status, res.nodes_explored, res.greedy_placements) == want
 
 
 @pytest.mark.parametrize("g,d,mode", [
