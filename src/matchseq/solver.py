@@ -2,10 +2,11 @@
 
 Every exact solve runs through one budgeted search core, ``_search``, which
 decides one target d.  ``exists_ordering`` validates and calls it once.
-``ms_exact``/``cms_exact`` validate and build the compat masks once, then
-call it for d = ν, ν-1, ... (ν the maximum-matching bound) under one
-absolute deadline, each d getting the node budget still left, possibly 0.
-So a node-budget hit reports exactly ``max_nodes + 1`` nodes in total.
+``ms_exact``/``cms_exact`` validate, take the maximum-matching bound ν,
+and, if ν >= 2, build the compat masks and twin classes once, then call it
+for d = ν, ν-1, ..., 2 under one absolute deadline, each d getting the
+node budget still left, possibly 0.  So a node-budget hit reports
+exactly ``max_nodes + 1`` nodes in total.
 
 The core places edges into positions 1..m depth-first, in one loop over an
 explicit stack of the untried candidates of each open position, so the
@@ -17,18 +18,25 @@ their compatibility bitmasks by block prefixes and suffixes (van Herk 1992;
 Gil and Werman 1993): a node costs three ANDs, plus O(d) at every
 (d-1)-th position, and a search keeps up to two m-bit masks per position.
 
-Symmetry breaking, cyclic mode only, and rotation only: position 1 is
-pinned to edge id 0.  The depth-first search tries candidates in ascending
-edge id.  Its find side is heavy-tailed under that fixed order (K8 linear
-d=3 took 759,509 nodes), so each d's search, which counts nodes from 0,
-has checkpoints, met by one comparison per node: node 1, every 4,096th
-node and node max_nodes + 1.  Each tests the budget; each 4,096th node
-then runs one slice of a greedy-restart generator, a fresh one per d.  A
-slice ends after 128 placements (at most 1/32 of the DFS nodes) or 1,024
-scored candidates, whichever comes first, so it stays a small share of
-the stride's time on dense hosts too (K400: 7.6 ms per slice against
-0.34 s for 4,096 DFS nodes).  Each restart fills positions 1..m through
-the same rule (edge 0 first in cyclic mode), preferring the candidate whose
+Symmetry breaking has two rules, proved together in ``_twins``: cyclic
+mode pins edge id 0 to position 1, and twins, edges that share a vertex
+with exactly the same edges, are placed in ascending id (the lex-leader
+rule of Crawford, Ginsberg, Luks and Roy, KR 1996).  A twin becomes free
+only once its next-lower twin is placed, so a placement and a pop each
+flip that twin's bit in the same XOR that flips the placed edge.
+
+The depth-first search tries candidates in ascending edge id.  Its find
+side is heavy-tailed under that fixed order (K8 linear d=3 took 759,509
+nodes), so each d's search, which counts nodes from 0, has checkpoints,
+met by one comparison per node: node 1, every 4,096th node and node
+max_nodes + 1.  Each tests the budget; each 4,096th node then runs one
+slice of a greedy-restart generator, a fresh one per d.  A slice ends
+after 128 placements (at most 1/32 of the DFS nodes) or 1,024 scored
+candidates, whichever comes first, so it stays a small share of the
+stride's time on dense hosts too (K400: 7.6 ms per slice against 0.34 s
+for 4,096 DFS nodes).  Each restart fills positions 1..m through the same
+window rule (edge 0 first in cyclic mode, twins in any order, since every
+witness is re-checked), preferring the candidate whose
 endpoints have the most unplaced edges, ties broken by a fixed-seed
 ``random.Random``, so every search is deterministic.  A restart may span
 several checkpoints.  A search that ends before node 4,096 never starts
@@ -106,7 +114,8 @@ def exists_ordering(g: Graph, d: int, mode: Mode,
     Returns a witness ordering on success (post-validated through the
     independent checker), a nonexistence certificate on full exhaustion,
     or a budget_exceeded result.  The time budget and ``elapsed_seconds``
-    cover building the compat masks as well as the search.
+    cover building the compat masks and twin classes as well as the
+    search.
     """
     m = g.num_edges
     if m == 0:
@@ -116,18 +125,21 @@ def exists_ordering(g: Graph, d: int, mode: Mode,
     if mode not in (LINEAR, CYCLIC):
         raise InvalidTarget(f"bad mode {mode!r}")
     t0 = time.perf_counter()
-    res = _search(g, d, mode, _compat_masks(g), budget.max_nodes,
+    compat = _compat_masks(g)
+    res = _search(g, d, mode, compat, _twins(compat), budget.max_nodes,
                   t0 + budget.max_seconds)
     return replace(res, elapsed_seconds=time.perf_counter() - t0)
 
 
-def _search(g: Graph, d: int, mode: Mode, compat: list[int], max_nodes: int,
+def _search(g: Graph, d: int, mode: Mode, compat: list[int],
+            twins: tuple[list[int], int], max_nodes: int,
             deadline: float) -> SolveResult:
     """Decide target d on validated input: budget_exceeded at node max_nodes
     + 1 or at the first checkpoint past ``deadline``, a perf_counter value.
-    The caller times the call: ``elapsed_seconds`` is left at 0."""
+    ``twins`` is ``_twins(compat)``.  The caller times the call:
+    ``elapsed_seconds`` is left at 0."""
     m = g.num_edges
-    free = (1 << m) - 1
+    flip, free = twins  # free: unplaced, with every lower twin placed
     cyclic = mode == CYCLIC
     push = _window_rule(m, d, cyclic, compat)
 
@@ -142,14 +154,15 @@ def _search(g: Graph, d: int, mode: Mode, compat: list[int], max_nodes: int,
 
     while cand or seq:
         if not cand:  # position exhausted: backtrack
-            free |= 1 << seq.pop()
+            free ^= flip[seq.pop()]
             cand = stack.pop()
             continue
         bit = cand & -cand
         stack.append(cand ^ bit)
-        free ^= bit
+        e = bit.bit_length() - 1
+        free ^= flip[e]
         hist[len(seq)] += 1
-        seq.append(bit.bit_length() - 1)
+        seq.append(e)
         nodes += 1
         if nodes == check_at:
             if nodes > max_nodes or time.perf_counter() > deadline:
@@ -311,18 +324,54 @@ def _compat_masks(g: Graph) -> list[int]:
     return [full & ~(incident[e.u] | incident[e.v]) for e in g.edges]
 
 
+def _twins(compat: list[int]) -> tuple[list[int], int]:
+    """Twin classes as ``(flip, start)``: ``flip[e]`` is the bit of e plus
+    the bit of e's next-higher twin, if any, and ``start`` has the bit of
+    every edge but the twins that are not the lowest of their class.
+
+    Twins are edges e != f with ``compat[e] == compat[f]``: every other
+    edge meets both or neither.  Parallel copies and the pendant edges at
+    one vertex are twins, for example.
+
+    Why the search may place each class in ascending id: the value of an
+    ordering depends only on which positions hold edges that meet, and
+    swapping two twins keeps which edges meet.  So relabelling each class
+    by position, lowest id first, keeps the value of any ordering.  In
+    cyclic mode, first rotate edge 0 to position 1, which keeps the value
+    too; edge 0 is the lowest id of its class and sits at the first
+    position, so the relabelling leaves it there.  Hence an ordering of
+    value >= d exists iff one exists that keeps the rotation pin and the
+    twin order, and the search visits every prefix of those.
+    """
+    classes: dict[int, list[int]] = {}
+    for e, mask in enumerate(compat):
+        classes.setdefault(mask, []).append(e)
+    m = len(compat)
+    flip = [1 << e for e in range(m)]
+    start = (1 << m) - 1
+    for ids in classes.values():
+        for lo, hi in zip(ids, ids[1:]):
+            flip[lo] |= 1 << hi
+            start ^= 1 << hi
+    return flip, start
+
+
 def _exact(g: Graph, mode: Mode, budget: SolveBudget) -> SolveResult:
     m = g.num_edges
     if m == 0:
         raise InvalidTarget("graph has no edges")
     t0 = time.perf_counter()
     deadline = t0 + budget.max_seconds
-    compat = _compat_masks(g)
+    nu = max_matching_size(g)
+    if nu >= 2:  # else no d is searched
+        compat = _compat_masks(g)
+        twins = _twins(compat)
     nodes = placed = 0
     hist = [0] * m
     certified: int | None = None
-    for d in range(max_matching_size(g), 1, -1):
-        res = _search(g, d, mode, compat, budget.max_nodes - nodes, deadline)
+    for d in range(nu, 1, -1):
+        res = _search(g, d, mode, compat, twins, budget.max_nodes - nodes,
+                      deadline)
         nodes += res.nodes_explored
         placed += res.greedy_placements
         hist = [a + b for a, b in zip(hist, res.depth_histogram)]

@@ -5,29 +5,38 @@ matching (cyclically in cyclic mode): equivalently, every two positions
 closer than d hold disjoint edges.  The oracle searches orderings depth
 first over edge ids with plain sets, and shares no code with the solver:
 no bitmasks, candidate windows, compat masks, matching bound or greedy.
+Its one optional rule, the solver's twin order, is stated from sets of
+edges; ``_oracle_value`` runs without it, so value agreement tests the
+rule's soundness and the node-for-node replays test its statement.
 """
 
 import pytest
 
-from matchseq import (CYCLIC, LINEAR, circulant3, cms_exact, complete, cycle,
-                      exists_ordering, max_matching_size, ms_exact, multiply,
-                      path)
+from matchseq import (CYCLIC, LINEAR, attach_pendants, circulant3, cms_exact,
+                      complete, cycle, exists_ordering, max_matching_size,
+                      ms_exact, multiply, path)
 from matchseq.catalog import _canonical_edge_subsets, verify_families
 from matchseq.constructions import family_ordering
 from matchseq.graphs import _graph_from_pairs
 from matchseq.solver import NONEXISTENCE_CERTIFIED, VALUE_FOUND
 
 
-def _oracle_search(g, d, mode):
+def _oracle_search(g, d, mode, twins=False):
     """(found, placements) of a DFS for an ordering of value >= d.
 
     Candidates are tried in ascending edge id, and cyclic mode puts edge 0
-    first, so a refutation visits the prefixes the solver visits.
+    first.  With ``twins``, an edge is skipped while a lower-id edge that
+    meets the same set of edges is unused, so a refutation visits the
+    prefixes the solver visits.
     """
     ends = [{e.u, e.v} for e in g.edges]
     m = len(ends)
     cyclic = mode == CYCLIC
     order, used, placements = [], set(), [0]
+    lower_twins = [[] for _ in range(m)]  # lower-id edges meeting what e meets
+    if twins:
+        meets = [{f for f in range(m) if ends[f] & ends[e]} for e in range(m)]
+        lower_twins = [[f for f in range(e) if meets[f] == meets[e]] for e in range(m)]
 
     def close(i, j):
         return j - i < d or (cyclic and m - (j - i) < d)
@@ -40,6 +49,8 @@ def _oracle_search(g, d, mode):
         near = set().union(*(ends[f] for i, f in enumerate(order) if close(i, j)))
         for e in ([0] if cyclic and j == 0 else range(m)):
             if e in used or not ends[e].isdisjoint(near):
+                continue
+            if any(f not in used for f in lower_twins[e]):
                 continue
             placements[0] += 1
             order.append(e)
@@ -70,8 +81,8 @@ def test_solver_values_match_the_oracle_on_all_6_vertex_classes():
 
 @pytest.mark.parametrize("g", [
     multiply(complete(4), 2), multiply(path(5), 2), multiply(cycle(5), 2),
-    multiply(complete(3), 3),
-], ids=["2K4", "2P5", "2C5", "3K3"])
+    multiply(complete(3), 3), multiply(complete(4), 4),
+], ids=["2K4", "2P5", "2C5", "3K3", "4K4"])
 @pytest.mark.parametrize("mode,exact", [(LINEAR, ms_exact), (CYCLIC, cms_exact)])
 def test_solver_values_match_the_oracle_on_multigraphs(g, mode, exact):
     assert exact(g).value == _oracle_value(g, mode)
@@ -83,12 +94,20 @@ def test_solver_values_match_the_oracle_on_multigraphs(g, mode, exact):
     (circulant3(6), 6, CYCLIC, 2_652),
     (complete(7), 3, CYCLIC, 39_341),
     (path(8), 4, LINEAR, 121),
-], ids=["K5", "C9", "circulant3_6", "K7", "P8"])
+    # twins, placed in ascending id (rule-free trees: 13,368, 557, 73, 84, 50)
+    (multiply(complete(4), 4), 2, LINEAR, 48),
+    (multiply(complete(4), 4), 2, CYCLIC, 8),
+    (multiply(path(5), 2), 2, CYCLIC, 18),
+    (multiply(complete(4), 2), 2, LINEAR, 24),
+    (attach_pendants(path(4), 1, 5), 2, LINEAR, 6),
+], ids=["K5", "C9", "circulant3_6", "K7", "P8", "4K4-linear", "4K4-cyclic",
+        "2P5-cyclic", "2K4-linear", "P4-5-pendants"])
 def test_refutations_replay_node_for_node(g, d, mode, nodes):
     res = exists_ordering(g, d, mode)
     assert res.status == NONEXISTENCE_CERTIFIED
     assert res.nodes_explored == nodes
-    assert _oracle_search(g, d, mode) == (False, nodes)
+    assert _oracle_search(g, d, mode, twins=True) == (False, nodes)
+    assert not _oracle_search(g, d, mode)[0]  # the rule-free tree refutes too
 
 
 def test_verify_cross_checks_replay_node_for_node():
@@ -104,8 +123,8 @@ def test_verify_cross_checks_replay_node_for_node():
             res = exists_ordering(g, d, row.mode)
             found = res.status == VALUE_FOUND
             assert found == (d == row.exact), (row.case, d)
-            assert _oracle_search(g, d, row.mode) == (found, res.nodes_explored), (
-                row.case, d)
+            assert _oracle_search(g, d, row.mode, twins=True) == (
+                found, res.nodes_explored), (row.case, d)
             replayed += res.nodes_explored
             refutations += not found
         assert replayed == row.nodes, row.case

@@ -5,8 +5,8 @@ from types import SimpleNamespace
 import pytest
 
 from matchseq import (BUDGET_EXCEEDED, CYCLIC, LINEAR, NONEXISTENCE_CERTIFIED,
-                      EdgeOrdering, SolveBudget, VALUE_FOUND, circulant3,
-                      cms_exact, complete, complete_bipartite, cycle,
+                      EdgeOrdering, SolveBudget, VALUE_FOUND, attach_pendants,
+                      circulant3, cms_exact, complete, complete_bipartite, cycle,
                       exists_ordering, matching_number, max_matching_size,
                       multiply, ms_exact, path)
 from matchseq import solver
@@ -14,7 +14,7 @@ from matchseq.catalog import _canonical_edge_subsets
 from matchseq.errors import InvalidTarget
 from matchseq.graphs import Graph, _graph_from_pairs
 from matchseq.solver import (_GREEDY_SCANS, _GREEDY_SLICE, _compat_masks,
-                             _greedy_restarts, _window_rule)
+                             _greedy_restarts, _twins, _window_rule)
 
 
 def test_k5_cyclic_d2_nonexistence():
@@ -239,7 +239,9 @@ def test_depth_histogram_accounts_all_nodes():
 
 def _differential_hosts() -> list[Graph]:
     """Every graph class on 5 labels with at most 7 edges, seeded random
-    multigraphs, and two edge-doubled hosts."""
+    multigraphs, two edge-doubled hosts, and three named twin hosts: a
+    star, a triangle with a pendant edge, and three copies of P3.  The
+    star is K_{1,5}, since K_{1,4} is already one of the classes."""
     hosts = [_graph_from_pairs(5, pairs) for pairs in _canonical_edge_subsets(5)
              if len(pairs) <= 7]
     rng = random.Random(1109)
@@ -248,7 +250,9 @@ def _differential_hosts() -> list[Graph]:
         pairs = list(itertools.combinations(range(n), 2))
         chosen = [rng.choice(pairs) for _ in range(rng.randint(1, 6))]
         hosts.append(_graph_from_pairs(n, chosen, allow_parallel=True))
-    return hosts + [multiply(path(3), 2), multiply(cycle(3), 2)]
+    return hosts + [multiply(path(3), 2), multiply(cycle(3), 2),
+                    complete_bipartite(1, 5), attach_pendants(cycle(3), 0, 1),
+                    multiply(path(3), 3)]
 
 
 def _best_by_enumeration(g: Graph, mode) -> int:
@@ -288,6 +292,50 @@ def test_greedy_restarts_yield_only_checked_witnesses(g):
                 assert sorted(seq) == list(range(m))
                 assert matching_number(EdgeOrdering(g, seq, mode)).value >= d
                 assert mode == LINEAR or seq[0] == 0
+
+
+def _twins_by_definition(g: Graph):
+    """``(flip, start)`` from sets: twins are edges that meet the same set of
+    edges; flip each edge's bit and its next-higher twin's, and start with
+    every non-lowest twin locked."""
+    ends = [{e.u, e.v} for e in g.edges]
+    m = len(ends)
+    meets = [frozenset(f for f in range(m) if ends[f] & ends[e]) for e in range(m)]
+    flip = [1 << e for e in range(m)]
+    start = (1 << m) - 1
+    for e in range(m):
+        higher = [f for f in range(e + 1, m) if meets[f] == meets[e]]
+        if higher:
+            flip[e] |= 1 << higher[0]
+            start &= ~(1 << higher[0])
+    return flip, start
+
+
+def test_twin_detection_matches_equal_compat_masks():
+    hosts = [_graph_from_pairs(6, pairs) for pairs in _canonical_edge_subsets(6)]
+    bases = [path(2), path(3), path(5), cycle(3), cycle(4), complete(4),
+             complete_bipartite(1, 4), circulant3(3)]
+    hosts += [multiply(g, k) for g in bases for k in (2, 3)]
+    hosts += [attach_pendants(h, v, t) for h in bases + [multiply(cycle(4), 2)]
+              for v in (0, 1) for t in (1, 3)]
+    twinned = 0
+    for g in hosts:
+        want = _twins_by_definition(g)
+        assert _twins(_compat_masks(g)) == want, [(e.u, e.v) for e in g.edges]
+        twinned += want[1] != (1 << g.num_edges) - 1
+    assert (twinned, len(hosts)) == (80, 207)  # hosts with a twin class, of all
+
+
+def test_matching_bound_one_builds_no_search_tables(monkeypatch):
+    # a star has nu = 1, so no d >= 2 is searched and no table is needed
+    def unused(*args):
+        raise AssertionError("built for a search that never runs")
+
+    monkeypatch.setattr(solver, "_compat_masks", unused)
+    monkeypatch.setattr(solver, "_twins", unused)
+    for exact in (ms_exact, cms_exact):
+        res = exact(complete_bipartite(1, 6))
+        assert (res.status, res.value, res.nodes_explored) == (VALUE_FOUND, 1, 0)
 
 
 def _window_by_definition(seq, free, d, m, cyclic, compat):
@@ -366,7 +414,7 @@ def test_refutation_runs_the_heuristic_without_moving_its_count():
     (ms_exact, lambda: circulant3(6), 49_806),
     (cms_exact, lambda: complete(7), 39_426),
     (cms_exact, lambda: complete_bipartite(5, 5), 4_876),
-    (cms_exact, lambda: multiply(complete(7), 2), 69_244),
+    (cms_exact, lambda: multiply(complete(7), 2), 5_853),
     (ms_exact, lambda: complete(8), 9_584),
     (cms_exact, lambda: complete(8), 12_484),
 ], ids=["ms-K5_5", "ms-circulant3_6", "cms-K7", "cms-K5_5", "cms-2K7",
