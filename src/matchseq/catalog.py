@@ -156,8 +156,9 @@ def _run_case(family: str, params: tuple[int, ...], mode: Mode,
     nodes = 0
     cross_checked = ordering.length <= exact_up_to_edges
     if cross_checked:
+        # the construction is a checked witness: search only above its value
         solve = ms_exact if mode == LINEAR else cms_exact
-        res = solve(ordering.graph, budget)
+        res = solve(ordering.graph, budget, seed=ordering)
         nodes, exact = res.nodes_explored, res.value
     agrees = constructed == pred.value and exact in (None, pred.value)
     out_of_budget = cross_checked and exact is None  # ms, cms >= 1 always exist
@@ -176,8 +177,13 @@ def verify_families(max_complete: int = 8, max_cycle: int = 16,
 
     Each registry family picks its instances from the range arguments and
     is checked in both modes.  Instances with at most ``exact_up_to_edges``
-    edges are additionally solved exactly and must agree.  Rows are sorted
-    by family, parameters and mode.
+    edges are additionally solved exactly and must agree.  That solve is
+    seeded with the construction, whose value the checker has just read,
+    so it searches only the targets above that value, from the matching
+    bound down.  On every row up to 16 edges the bound is at most
+    predicted+1: one refutation, or none.  A formula that is too low fails
+    that refutation; one that is too high fails the construction check.
+    Rows are sorted by family, parameters and mode.
     """
     limits = dict(max_complete=max_complete, max_cycle=max_cycle,
                   max_bipartite=max_bipartite, max_circulant=max_circulant,
@@ -263,6 +269,8 @@ class Q1Result:
 def explore_q1(g: Graph, k_max: int, budget: SolveBudget = SolveBudget()) -> Q1Result:
     """Exact ms/cms of kG for k = 1..k_max, flagging whether the matching
     number of g is reached."""
+    if k_max < 1:
+        raise InvalidFamilyParams(f"explore_q1 needs k_max >= 1, got {k_max}")
     deadline = time.perf_counter() + budget.max_seconds
     p = max_matching_size(g)
     rows = []
@@ -346,6 +354,8 @@ def explore_q2(n_max: int, budget: SolveBudget = SolveBudget(),
     ms - cms gap with every extremal witness."""
     if n_max > 7:
         raise InvalidFamilyParams("explore_q2 enumerates up to 7 vertices")
+    if n_max < 2:
+        raise InvalidFamilyParams(f"explore_q2 needs n_max >= 2, got {n_max}")
     deadline = time.perf_counter() + budget.max_seconds
     rows = []
     partial = False

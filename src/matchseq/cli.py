@@ -5,7 +5,8 @@ Subcommands::
     construct  build a family ordering, report value=/predicted=, optionally
                render the biadjacency matrix view
     check      compute the matching number of an ordering file
-    solve      exact decision / optimization for an arbitrary graph (JSON)
+    solve      exact decision / optimization for an arbitrary graph (JSON),
+               optionally seeded with a known ordering
     verify     run the construction-vs-formula-vs-solver harness
     explore    experiment drivers q1 (edge multiplication), q2 (ms-cms gap),
                q3 (doubled graphs)
@@ -53,6 +54,9 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--mode", required=True, choices=list(orderings.MODES))
     s.add_argument("--target", type=int,
                    help="decide existence of an ordering with value >= target")
+    s.add_argument("--ordering",
+                   help="a known ordering file of the graph: its checked value "
+                        "is the floor, and only the targets above it are searched")
     s.add_argument("--budget-seconds", type=_positive_seconds, default=300.0)
 
     v = sub.add_parser("verify", help="constructions vs formulas vs solver")
@@ -137,12 +141,18 @@ def _cmd_check(args) -> int:
 def _cmd_solve(args) -> int:
     g = _read_graph(args.graph)
     budget = solver.SolveBudget(max_seconds=args.budget_seconds)
+    seed = None
+    if args.ordering:
+        if args.target is not None:
+            raise MatchseqError("--ordering seeds an exact solve; "
+                                "it does not combine with --target")
+        seed = orderings.read_ordering(_read_text(args.ordering), g, args.mode)
     if args.target is not None:
         result = solver.exists_ordering(g, args.target, args.mode, budget)
     elif args.mode == orderings.LINEAR:
-        result = solver.ms_exact(g, budget)
+        result = solver.ms_exact(g, budget, seed)
     else:
-        result = solver.cms_exact(g, budget)
+        result = solver.cms_exact(g, budget, seed)
     payload = result.summary_dict()
     payload["mode"] = args.mode
     payload["target"] = args.target

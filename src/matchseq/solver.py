@@ -2,21 +2,27 @@
 
 Every exact solve runs through one budgeted search core, ``_search``, which
 decides one target d.  ``exists_ordering`` validates and calls it once.
-``ms_exact``/``cms_exact`` validate, take the maximum-matching bound ν,
-and, if ν >= 2, build the compat masks and twin classes once, then call it
-for d = ν, ν-1, ..., 2 under one absolute deadline, each d getting the
-node budget still left, possibly 0.  So a node-budget hit reports
-exactly ``max_nodes + 1`` nodes in total.
+``ms_exact``/``cms_exact`` validate and take two bounds: the
+maximum-matching bound ν above, and a floor L below, 1 or the value that
+``matching_number`` re-checks of an optional seed, a known ordering of the
+same graph.  If ν > L they build the compat masks and twin classes once,
+then call the core for d = ν, ν-1, ..., L+1 under one absolute deadline,
+each d getting the node budget still left, possibly 0.  So a node-budget
+hit reports exactly ``max_nodes + 1`` nodes in total.  If every d is
+refuted, the seed is the witness (any ordering, unseeded), so a seed at ν
+costs no search at all.
 
-The core places edges into positions 1..m depth-first, in one loop over an
-explicit stack of the untried candidates of each open position, so the
-depth of the search is not bounded by Python's recursion limit.  One
-candidate rule, ``_window_rule``, serves the DFS and the greedy restarts:
-the next edge shares no vertex with the last d-1 placed nor, in cyclic
-mode, with the opening ones its window wraps onto.  It slides the AND of
-their compatibility bitmasks by block prefixes and suffixes (van Herk 1992;
-Gil and Werman 1993): a node costs three ANDs, plus O(d) at every
-(d-1)-th position, and a search keeps up to two m-bit masks per position.
+The core places edges into positions 1..m depth-first, in one loop over m
+preallocated slots indexed by the depth p: the placed edge and the untried
+candidates of each position.  So the depth of the search is not bounded by
+Python's recursion limit, and a node appends, pops and measures nothing.
+One candidate rule, ``_window_rule``, serves the DFS and the greedy
+restarts: the next edge shares no vertex with the last d-1 placed nor, in
+cyclic mode, with the opening ones its window wraps onto.  It slides the
+AND of their compatibility bitmasks by block prefixes and suffixes (van
+Herk 1992; Gil and Werman 1993): a node costs three ANDs, plus O(d) at
+every (d-1)-th position, and a search keeps up to two m-bit masks per
+position.
 
 Symmetry breaking has two rules, proved together in ``_twins``: cyclic
 mode pins edge id 0 to position 1, and twins, edges that share a vertex
@@ -41,9 +47,10 @@ endpoints have the most unplaced edges, ties broken by a fixed-seed
 ``random.Random``, so every search is deterministic.  A restart may span
 several checkpoints.  A search that ends before node 4,096 never starts
 the generator, and a refutation visits every consistent prefix whatever
-else runs, so its node count does not move.  ``nodes_explored`` and
-``depth_histogram`` count DFS nodes only; ``greedy_placements`` counts
-the heuristic's work.
+else runs, so its node count does not move.  The searches of a seeded
+solve run no slices: the greedy only looks for witnesses, and the seed is
+one.  ``nodes_explored`` and ``depth_histogram`` count DFS nodes only;
+``greedy_placements`` counts the heuristic's work.
 
 Nonexistence is reported only when the pruned tree has been exhausted;
 running out of budget is a distinct status, never conflated with a
@@ -56,9 +63,10 @@ import random
 import time
 from dataclasses import dataclass, replace
 
-from .errors import InvalidTarget
+from .errors import InvalidOrdering, InvalidTarget
 from .graphs import Graph, degrees, max_matching_size
-from .orderings import CYCLIC, LINEAR, EdgeOrdering, Mode, matching_number
+from .orderings import (CYCLIC, LINEAR, EdgeOrdering, Mode, matching_number,
+                        with_mode)
 
 VALUE_FOUND = "value_found"
 NONEXISTENCE_CERTIFIED = "nonexistence_certified"
@@ -132,37 +140,41 @@ def exists_ordering(g: Graph, d: int, mode: Mode,
 
 
 def _search(g: Graph, d: int, mode: Mode, compat: list[int],
-            twins: tuple[list[int], int], max_nodes: int,
-            deadline: float) -> SolveResult:
+            twins: tuple[list[int], int], max_nodes: int, deadline: float,
+            heuristic: bool = True) -> SolveResult:
     """Decide target d on validated input: budget_exceeded at node max_nodes
     + 1 or at the first checkpoint past ``deadline``, a perf_counter value.
-    ``twins`` is ``_twins(compat)``.  The caller times the call:
+    ``twins`` is ``_twins(compat)``.  The greedy restarts run at the
+    checkpoints only if ``heuristic``.  The caller times the call:
     ``elapsed_seconds`` is left at 0."""
     m = g.num_edges
     flip, free = twins  # free: unplaced, with every lower twin placed
     cyclic = mode == CYCLIC
     push = _window_rule(m, d, cyclic, compat)
 
-    seq: list[int] = []
-    stack: list[int] = []  # untried candidates of positions 1..len(seq)
-    # untried candidates of position len(seq)+1; cyclic mode pins edge 0 first
+    seq = [0] * m  # seq[:p] is the placed prefix
+    stack = [0] * m  # stack[i]: untried candidates of position i+1, i < p
+    p = 0
+    # untried candidates of position p+1; cyclic mode pins edge 0 first
     cand = 1 if cyclic else free
     hist = [0] * m
     nodes = placed = 0
     greedy = None  # started at the first checkpoint
     check_at = 1  # the next checkpoint: node 1, each stride, node max_nodes+1
 
-    while cand or seq:
+    while cand or p:
         if not cand:  # position exhausted: backtrack
-            free ^= flip[seq.pop()]
-            cand = stack.pop()
+            p -= 1
+            free ^= flip[seq[p]]
+            cand = stack[p]
             continue
         bit = cand & -cand
-        stack.append(cand ^ bit)
+        stack[p] = cand ^ bit
         e = bit.bit_length() - 1
+        seq[p] = e
         free ^= flip[e]
-        hist[len(seq)] += 1
-        seq.append(e)
+        hist[p] += 1
+        p += 1
         nodes += 1
         if nodes == check_at:
             if nodes > max_nodes or time.perf_counter() > deadline:
@@ -170,17 +182,17 @@ def _search(g: Graph, d: int, mode: Mode, compat: list[int],
                                    greedy_placements=placed)
             check_at = min((nodes // _BUDGET_CHECK_STRIDE + 1) * _BUDGET_CHECK_STRIDE,
                            max_nodes + 1)
-            if nodes > 1 and len(seq) < m:  # a checkpoint: run one greedy slice
+            if heuristic and nodes > 1 and p < m:  # run one greedy slice
                 greedy = greedy or _greedy_restarts(g, d, cyclic, compat)
                 work, found = next(greedy)
                 placed += work
                 if found:
-                    seq = list(found)
-        if len(seq) == m:
+                    seq, p = found, m
+        if p == m:
             break
-        cand = free & push(seq)
+        cand = free & push(p - 1, e)
 
-    if len(seq) < m:
+    if p < m:
         return SolveResult(NONEXISTENCE_CERTIFIED, None, None, nodes,
                            tuple(hist), greedy_placements=placed)
     witness = EdgeOrdering(g, tuple(seq), mode)
@@ -193,38 +205,44 @@ def _search(g: Graph, d: int, mode: Mode, compat: list[int],
 
 
 def _window_rule(m: int, d: int, cyclic: bool, compat: list[int]):
-    """The solver's one candidate rule, as ``push(seq) -> mask``.
+    """The solver's one candidate rule, as ``push(i, e) -> mask``.
 
-    Call ``push`` after each append to ``seq`` while len(seq) < m; pops
-    need no call.  It returns the mask of edges sharing no vertex with the
-    placed ones that position p = len(seq) sees: ``seq[max(0, p-d+1):]``
-    and, cyclic only, ``seq[:max(0, p+d-m)]``.  The caller ANDs in the free
-    edges.  Sliding-window ANDs by block prefixes and suffixes (van Herk,
-    Pattern Recogn. Lett. 13, 1992; Gil and Werman, IEEE TPAMI 15, 1993):
-    in blocks of k = d-1 positions, the window p-k..p-1 spans at most two.
-    ``pre[p-1]`` is the AND from p-1's block start to p-1, written when p-1
-    is placed; ``suf[p]`` is the AND of the block before from p-k on, all
-    ones where p-k is a block start or negative.  A block's ``suf`` entries
-    are rebuilt, in O(k), when the next block's first position is placed.
-    The cyclic wrap ``seq[:w]``, w <= d-1, is ``pre[w-1]``.  So a call
-    makes at most three ANDs for any d, plus the rebuild at block starts
-    (paths at d = ν: 28 -> 15 µs per DFS node at d = 512, 1.1 -> 0.7 µs at
-    d = 8).  Entries past the end of seq go stale on a pop and are
-    rewritten before they are read, so nothing is undone.  Memory: up to
-    two masks of m bits per position (K150 cyclic d=70 at 20,000 nodes:
-    ``tracemalloc`` peak 33.9 MB before, 61.9 MB after).
+    Call ``push(i, e)`` when edge e is placed at index i, position i+1, for
+    i < m-1; pops need no call.  It returns the mask of edges sharing no
+    vertex with the placed ones that position i+2 sees: those at indices
+    max(0, i-d+2)..i and, cyclic only, 0..i+d-m.  The caller ANDs in the
+    free edges.  Sliding-window ANDs by block prefixes and suffixes (van
+    Herk, Pattern Recogn. Lett. 13, 1992; Gil and Werman, IEEE TPAMI 15,
+    1993): in blocks of k = d-1 indices, the window i-k+1..i spans at most
+    two.  ``pre[i]`` is the AND from i's block start to i; ``suf[i+1]`` is
+    the AND of the block before from i-k+1 on, all ones where i-k+1 is a
+    block start or negative.  A block's ``suf`` entries are rebuilt, in
+    O(k), from the compat masks kept in ``at`` when the next block's first
+    index is placed.  The cyclic wrap, indices 0..w-1 with w <= d-1, is
+    ``pre[w-1]``.  So a call makes at most three ANDs for any d, plus the
+    rebuild at block starts.  Entries past index i go stale on a pop and
+    are rewritten before they are read, so nothing is undone.  Cost per
+    DFS node, on paths at d = ν: 28 -> 15 µs at d = 512 and 1.1 -> 0.7 µs
+    at d = 8 against ANDing the window edge by edge.  Taking (i, e) from a
+    search that keeps fixed arrays indexed by depth, instead of reading
+    the end of an appended list, took 2-8% more off at d = 8 (medians of
+    interleaved runs, 2 vCPU: P17 cyclic 0.72 -> 0.69 µs, C16 linear
+    0.67 -> 0.61 µs) and was within noise at d = 512.  Memory: up to two
+    m-bit masks per position (K150 cyclic d=70 at 20,000 nodes:
+    ``tracemalloc`` peak 33.9 MB for the edge-by-edge AND, 61.9 MB for
+    this rule).
     """
     full = (1 << m) - 1
     k = d - 1
     if not k:
-        return lambda seq: full
+        return lambda i, e: full
     pre = [full] * m
     suf = [full] * (m + k)
-    reach = m - d if cyclic else m  # from i = reach on, p = i+1 wraps
+    at = [full] * m  # at[i]: the compat mask of the edge at index i
+    reach = m - d if cyclic else m  # from i = reach on, the window wraps
 
-    def push(seq: list[int]) -> int:
-        i = len(seq) - 1
-        c = compat[seq[i]]
+    def push(i: int, e: int) -> int:
+        c = at[i] = compat[e]
         if i % k:
             pre[i] = pre[i - 1] & c
         else:
@@ -232,7 +250,7 @@ def _window_rule(m: int, d: int, cyclic: bool, compat: list[int]):
             if i:  # the block before i is complete: its suffixes
                 acc = full
                 for j in range(i - 1, i - k, -1):
-                    acc &= compat[seq[j]]
+                    acc &= at[j]
                     suf[j + k] = acc
         if i < reach:
             return pre[i] & suf[i + 1]
@@ -307,7 +325,7 @@ def _greedy_restarts(g: Graph, d: int, cyclic: bool, compat: list[int]):
             if placed == _GREEDY_SLICE:
                 yield placed, None
                 placed = scanned = 0
-            cand = free & push(seq)
+            cand = free & push(len(seq) - 1, e)
 
 
 def _compat_masks(g: Graph) -> list[int]:
@@ -356,22 +374,30 @@ def _twins(compat: list[int]) -> tuple[list[int], int]:
     return flip, start
 
 
-def _exact(g: Graph, mode: Mode, budget: SolveBudget) -> SolveResult:
+def _exact(g: Graph, mode: Mode, budget: SolveBudget,
+           seed: EdgeOrdering | None) -> SolveResult:
     m = g.num_edges
     if m == 0:
         raise InvalidTarget("graph has no edges")
     t0 = time.perf_counter()
     deadline = t0 + budget.max_seconds
+    if seed is None:
+        floor = 1  # any ordering attains 1
+    elif seed.graph != g:
+        raise InvalidOrdering("the seed is an ordering of another graph")
+    else:
+        seed = seed if seed.mode == mode else with_mode(seed, mode)
+        floor = matching_number(seed).value
     nu = max_matching_size(g)
-    if nu >= 2:  # else no d is searched
+    if nu > floor:  # else no d is searched
         compat = _compat_masks(g)
         twins = _twins(compat)
     nodes = placed = 0
     hist = [0] * m
     certified: int | None = None
-    for d in range(nu, 1, -1):
+    for d in range(nu, floor, -1):
         res = _search(g, d, mode, compat, twins, budget.max_nodes - nodes,
-                      deadline)
+                      deadline, heuristic=seed is None)
         nodes += res.nodes_explored
         placed += res.greedy_placements
         hist = [a + b for a, b in zip(hist, res.depth_histogram)]
@@ -381,18 +407,27 @@ def _exact(g: Graph, mode: Mode, budget: SolveBudget) -> SolveResult:
                                certified_upper=certified if res.value is None else None,
                                greedy_placements=placed)
         certified = d
-    # every d >= 2 refuted (or the matching bound was 1): any ordering attains 1
-    witness = EdgeOrdering(g, tuple(range(m)), mode)
-    return SolveResult(VALUE_FOUND, 1, witness, nodes, tuple(hist),
+    # every d above the floor refuted: the seed, or any ordering, is optimal
+    witness = seed if seed is not None else EdgeOrdering(g, tuple(range(m)), mode)
+    return SolveResult(VALUE_FOUND, floor, witness, nodes, tuple(hist),
                        time.perf_counter() - t0, greedy_placements=placed)
 
 
-def ms_exact(g: Graph, budget: SolveBudget = SolveBudget()) -> SolveResult:
+def ms_exact(g: Graph, budget: SolveBudget = SolveBudget(),
+             seed: EdgeOrdering | None = None) -> SolveResult:
     """Exact matching sequencibility, searching d downward from the
-    matching-number upper bound."""
-    return _exact(g, LINEAR, budget)
+    matching-number upper bound.
+
+    ``seed``, an ordering of g in either mode, is a known witness: its
+    linear value L is re-checked, and only the d above L are searched, with
+    no greedy restarts.  If all are refuted, the result's witness is the
+    seed read in linear mode.
+    """
+    return _exact(g, LINEAR, budget, seed)
 
 
-def cms_exact(g: Graph, budget: SolveBudget = SolveBudget()) -> SolveResult:
-    """Exact cyclic matching sequencibility."""
-    return _exact(g, CYCLIC, budget)
+def cms_exact(g: Graph, budget: SolveBudget = SolveBudget(),
+              seed: EdgeOrdering | None = None) -> SolveResult:
+    """Exact cyclic matching sequencibility; ``seed`` as in ``ms_exact``,
+    its value read in cyclic mode."""
+    return _exact(g, CYCLIC, budget, seed)

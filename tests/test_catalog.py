@@ -122,22 +122,24 @@ def test_verify_small_ranges_all_pass():
 
 
 def test_verify_out_of_budget_rows_are_unresolved():
+    # cross-checks seeded with the construction: only rows with a target
+    # above the constructed value to refute can run out of budget
     report = verify_families(max_complete=6, max_cycle=6, max_bipartite=3,
                              max_circulant=3, doubled_ms=(2,), exact_up_to_edges=16,
                              budget=SolveBudget(max_nodes=10))
     unresolved = [r for r in report.rows if r.unresolved]
-    assert len(report.rows) == 42 and len(unresolved) == 13
+    assert len(report.rows) == 42 and len(unresolved) == 8
     for r in report.rows:
         if r.unresolved:
             assert r.exact is None and not r.passed and r.status == "unresolved"
             assert r.constructed == r.predicted
         else:  # finished cross-checks and rows with none keep their status
             assert r.passed and r.status == "pass"
-    assert not report.all_pass and not report.failed and report.unresolved == 13
+    assert not report.all_pass and not report.failed and report.unresolved == 8
     assert report.to_json_obj()["all_pass"] is False
     text = report.to_text()
     assert "all pass" not in text
-    assert text.endswith("42 cases, 13 UNRESOLVED (exact solve out of budget)\n")
+    assert text.endswith("42 cases, 8 UNRESOLVED (exact solve out of budget)\n")
 
 
 def test_verify_report_json_schema():
@@ -257,6 +259,19 @@ def test_q2_connected_filter():
 def test_q2_rejects_large_n():
     with pytest.raises(InvalidFamilyParams):
         explore_q2(8)
+
+
+def test_q2_rejects_a_range_with_no_edge():
+    for n_max in (1, 0, -3):
+        with pytest.raises(InvalidFamilyParams):
+            explore_q2(n_max)
+    assert len(explore_q2(2).rows) == 1  # the smallest range: one edge
+
+
+@pytest.mark.parametrize("k_max", [0, -1])
+def test_q1_rejects_an_empty_range_of_k(k_max):
+    with pytest.raises(InvalidFamilyParams):
+        explore_q1(complete(3), k_max)
 
 
 def test_canonical_classes_use_vertices_0_to_k_minus_1():

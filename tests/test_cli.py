@@ -276,6 +276,44 @@ def test_solve_long_cycle_without_target_no_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def _k8_cyclic_files(capsys, tmp_path):
+    code, _, _ = run_cli(capsys, "construct", "--family", "complete", "--params", "8",
+                         "--mode", "cyclic", "--out", str(tmp_path / "k8.ord"),
+                         "--graph-out", str(tmp_path / "k8.txt"))
+    assert code == 0
+    return tmp_path / "k8.txt", tmp_path / "k8.ord"
+
+
+def test_solve_seeded_with_an_ordering(capsys, tmp_path):
+    # the construction attains 3: only d = nu = 4 is left, refuted without
+    # the greedy, and the seed is the witness
+    graph, ordering = _k8_cyclic_files(capsys, tmp_path)
+    code, out, _ = run_cli(capsys, "solve", "--graph", str(graph), "--mode", "cyclic",
+                           "--ordering", str(ordering))
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["status"], payload["value"], payload["nodes"],
+            payload["greedy_placements"]) == ("value_found", 3, 196, 0)
+    assert payload["witness"] == ordering.read_text().strip()
+
+
+def test_solve_ordering_with_target_exit2(capsys, tmp_path):
+    graph, ordering = _k8_cyclic_files(capsys, tmp_path)
+    code, out, err = run_cli(capsys, "solve", "--graph", str(graph), "--mode", "cyclic",
+                             "--ordering", str(ordering), "--target", "3")
+    assert (code, out) == (2, "")
+    assert "--ordering" in err and "--target" in err
+
+
+def test_solve_ordering_of_another_graph_exit2(capsys, tmp_path):
+    _, ordering = _k8_cyclic_files(capsys, tmp_path)
+    f = _write_graph(tmp_path, complete(7))
+    code, out, err = run_cli(capsys, "solve", "--graph", str(f), "--mode", "cyclic",
+                             "--ordering", str(ordering))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
 def test_solve_bad_target_exit2(capsys, tmp_path):
     f = _write_graph(tmp_path, complete(4))
     code, _, err = run_cli(capsys, "solve", "--graph", str(f), "--mode", "linear",
@@ -337,11 +375,11 @@ def test_verify_unresolved_rows_exit3(capsys, tmp_path, monkeypatch):
                            "--exact-up-to-edges", "16", "--json-out", str(json_out))
     assert code == 3
     assert "all pass" not in out
-    assert "13 UNRESOLVED" in out and " UNRES " in out
+    assert "8 UNRESOLVED" in out and " UNRES " in out
     payload = json.loads(json_out.read_text())
     assert payload["all_pass"] is False
     statuses = [r["status"] for r in payload["rows"]]
-    assert statuses.count("unresolved") == 13
+    assert statuses.count("unresolved") == 8
     assert set(statuses) == {"pass", "unresolved"}
 
 
@@ -393,6 +431,18 @@ def test_explore_q1(capsys, tmp_path):
                            "--k-max", "2")
     assert code == 0
     assert "matching number p = 1" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("q1", "--k-max", "0"), ("q1", "--k-max", "-2"),
+    ("q2", "--max-n", "1"), ("q2", "--max-n", "-1"),
+], ids=["q1-k0", "q1-k-negative", "q2-n1", "q2-n-negative"])
+def test_explore_empty_range_exit2(capsys, tmp_path, argv):
+    # an input error, not an empty table with exit 0
+    graph = ("--graph", str(_write_graph(tmp_path, complete(3)))) if argv[0] == "q1" else ()
+    code, out, err = run_cli(capsys, "explore", *argv, *graph)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
 
 
 def test_explore_missing_graph_exit2(capsys):

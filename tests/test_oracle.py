@@ -13,8 +13,8 @@ rule's soundness and the node-for-node replays test its statement.
 import pytest
 
 from matchseq import (CYCLIC, LINEAR, attach_pendants, circulant3, cms_exact,
-                      complete, cycle, exists_ordering, max_matching_size,
-                      ms_exact, multiply, path)
+                      complete, complete_bipartite, cycle, exists_ordering,
+                      max_matching_size, ms_exact, multiply, path)
 from matchseq.catalog import _canonical_edge_subsets, verify_families
 from matchseq.constructions import family_ordering
 from matchseq.graphs import _graph_from_pairs
@@ -110,9 +110,30 @@ def test_refutations_replay_node_for_node(g, d, mode, nodes):
     assert not _oracle_search(g, d, mode)[0]  # the rule-free tree refutes too
 
 
+@pytest.mark.parametrize("g,d,mode,found,nodes", [
+    (complete_bipartite(5, 5), 5, LINEAR, False, 32_825),
+    (complete_bipartite(5, 5), 4, LINEAR, True, 2_771),
+    (circulant3(6), 6, LINEAR, False, 49_788),
+    (circulant3(6), 5, LINEAR, True, 18),
+    (complete_bipartite(5, 5), 5, CYCLIC, False, 1_313),
+    (complete_bipartite(5, 5), 4, CYCLIC, True, 3_563),
+    (complete(8), 4, LINEAR, False, 5_488),
+    (complete(8), 4, CYCLIC, False, 196),
+], ids=["ms-K5_5-d5", "ms-K5_5-d4", "ms-circulant3_6-d6", "ms-circulant3_6-d5",
+        "cms-K5_5-d5", "cms-K5_5-d4", "ms-K8-d4", "cms-K8-d4"])
+def test_pinned_solve_phases_replay_node_for_node(g, d, mode, found, nodes):
+    # the phases of the unseeded solves of test_solver.test_node_counts_pinned
+    # that the oracle can replay: each refutation, and each find the DFS made
+    # before its first greedy slice (K8's finds come from the greedy)
+    res = exists_ordering(g, d, mode)
+    assert (res.status == VALUE_FOUND, res.nodes_explored) == (found, nodes)
+    assert _oracle_search(g, d, mode, twins=True) == (found, nodes)
+
+
 def test_verify_cross_checks_replay_node_for_node():
     # every search of the exact solves of `verify --exact-up-to-edges 12`:
-    # d = nu down to the row's value, refutations and the closing find
+    # seeded with the construction, they refute d = nu down to the row's
+    # value + 1; the unseeded find at the row's value replays too
     rows = [r for r in verify_families(exact_up_to_edges=12).rows
             if r.exact is not None]
     refutations = 0
@@ -125,7 +146,8 @@ def test_verify_cross_checks_replay_node_for_node():
             assert found == (d == row.exact), (row.case, d)
             assert _oracle_search(g, d, row.mode, twins=True) == (
                 found, res.nodes_explored), (row.case, d)
-            replayed += res.nodes_explored
-            refutations += not found
+            if not found:
+                replayed += res.nodes_explored
+                refutations += 1
         assert replayed == row.nodes, row.case
-    assert (len(rows), refutations, sum(r.nodes for r in rows)) == (84, 36, 25_826)
+    assert (len(rows), refutations, sum(r.nodes for r in rows)) == (84, 36, 22_343)

@@ -8,10 +8,11 @@ from matchseq import (BUDGET_EXCEEDED, CYCLIC, LINEAR, NONEXISTENCE_CERTIFIED,
                       EdgeOrdering, SolveBudget, VALUE_FOUND, attach_pendants,
                       circulant3, cms_exact, complete, complete_bipartite, cycle,
                       exists_ordering, matching_number, max_matching_size,
-                      multiply, ms_exact, path)
+                      multiply, ms_exact, path, with_mode)
 from matchseq import solver
 from matchseq.catalog import _canonical_edge_subsets
-from matchseq.errors import InvalidTarget
+from matchseq.constructions import family_ordering
+from matchseq.errors import InvalidOrdering, InvalidTarget
 from matchseq.graphs import Graph, _graph_from_pairs
 from matchseq.solver import (_GREEDY_SCANS, _GREEDY_SLICE, _compat_masks,
                              _greedy_restarts, _twins, _window_rule)
@@ -377,7 +378,7 @@ def test_window_rule_matches_its_definition(g, mode):
                 e = rng.choice([e for e in range(m) if free >> e & 1])
                 seq.append(e)
                 free ^= 1 << e
-                assert free & push(seq) == _window_by_definition(
+                assert free & push(len(seq) - 1, e) == _window_by_definition(
                     seq, free, d, m, cyclic, compat), (d, seq)
 
 
@@ -409,19 +410,97 @@ def test_refutation_runs_the_heuristic_without_moving_its_count():
     assert res.greedy_placements == (res.nodes_explored // 4096) * _GREEDY_SLICE
 
 
-@pytest.mark.parametrize("solve,host,nodes", [
-    (ms_exact, lambda: complete_bipartite(5, 5), 35_596),
-    (ms_exact, lambda: circulant3(6), 49_806),
-    (cms_exact, lambda: complete(7), 39_426),
-    (cms_exact, lambda: complete_bipartite(5, 5), 4_876),
-    (cms_exact, lambda: multiply(complete(7), 2), 5_853),
-    (ms_exact, lambda: complete(8), 9_584),
-    (cms_exact, lambda: complete(8), 12_484),
-], ids=["ms-K5_5", "ms-circulant3_6", "cms-K7", "cms-K5_5", "cms-2K7",
-        "ms-K8", "cms-K8"])
-def test_node_counts_pinned(solve, host, nodes):
-    # counts of the reference search: a change of search order shows here
-    assert solve(host()).nodes_explored == nodes
+# unseeded exact solves of the reference search: (solve, host, nodes,
+# greedy placements, depth histogram)
+_PINNED_SOLVES = {
+    "ms-K5_5": (ms_exact, lambda: complete_bipartite(5, 5), 35_596, 1_024,
+        (26, 401, 3601, 14401, 14401, 1, 1, 1, 2, 4, 7, 12, 24, 46, 82,
+         136, 198, 289, 444, 638, 487, 285, 98, 10, 1)),
+    "ms-circulant3_6": (ms_exact, lambda: circulant3(6), 49_806, 1_536,
+        (19, 235, 2017, 10081, 23041, 14401, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+         1, 1, 1)),
+    "cms-K7": (cms_exact, lambda: complete(7), 39_426, 1_152,
+        (2, 11, 31, 61, 121, 241, 481, 721, 1201, 1921, 2881, 3361,
+         4321, 4803, 5528, 4331, 3373, 2656, 2413, 967, 1)),
+    "cms-K5_5": (cms_exact, lambda: complete_bipartite(5, 5), 4_876, 0,
+        (2, 17, 145, 577, 577, 1, 1, 1, 2, 4, 8, 16, 32, 65, 118, 170,
+         256, 401, 585, 799, 639, 369, 85, 5, 1)),
+    "cms-2K7": (cms_exact, lambda: multiply(complete(7), 2), 5_853, 128,
+        (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+         2, 4, 6, 12, 22, 43, 70, 118, 190, 323, 399, 534, 697, 823,
+         768, 672, 541, 454, 140, 13, 1)),
+    "ms-K8": (ms_exact, lambda: complete(8), 9_584, 156,
+        (29, 421, 2521, 2521, 1, 1, 1, 1, 1, 1, 1, 1, 1, 3, 10, 22, 49,
+         132, 277, 435, 665, 831, 865, 574, 209, 11, 0, 0)),
+    "cms-K8": (cms_exact, lambda: complete(8), 12_484, 271,
+        (2, 16, 91, 91, 1, 1, 1, 1, 1, 1, 1, 1, 2, 7, 21, 51, 124, 330,
+         655, 1112, 1829, 2504, 2821, 1905, 754, 161, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED_SOLVES))
+def test_node_counts_pinned(name):
+    # a change of search order shows here, in the count, the depths or the
+    # greedy's share
+    solve, host, nodes, placements, hist = _PINNED_SOLVES[name]
+    res = solve(host())
+    assert res.nodes_explored == nodes
+    assert (res.greedy_placements, res.depth_histogram) == (placements, hist)
+
+
+@pytest.mark.parametrize("solve,n,value,nodes", [
+    (cms_exact, 8, 3, 196),
+    (ms_exact, 8, 3, 5_488),  # the cyclic construction, read linearly
+    (cms_exact, 7, 2, 39_341),
+], ids=["cms-K8", "ms-K8", "cms-K7"])
+def test_seeded_solve_refutes_only_above_the_seed(solve, n, value, nodes):
+    # the construction is the witness; nu = value + 1 is the one target
+    # left, refuted without greedy slices (the oracle replays these counts)
+    seed = family_ordering("complete", (n,), CYCLIC)
+    res = solve(seed.graph, seed=seed)
+    assert (res.status, res.value, res.nodes_explored) == (VALUE_FOUND, value, nodes)
+    assert res.greedy_placements == 0 and sum(res.depth_histogram) == nodes
+    assert res.witness.sequence == seed.sequence
+    assert res.witness.mode == (LINEAR if solve is ms_exact else CYCLIC)
+
+
+def test_seed_at_the_matching_bound_needs_no_search(monkeypatch):
+    def unused(*args):
+        raise AssertionError("built for a search that never runs")
+
+    monkeypatch.setattr(solver, "_compat_masks", unused)
+    for solve, mode in ((ms_exact, LINEAR), (cms_exact, CYCLIC)):
+        seed = family_ordering("cycle", (9,), mode)  # C9 attains nu = 4
+        res = solve(seed.graph, seed=seed)
+        assert (res.status, res.value, res.nodes_explored) == (VALUE_FOUND, 4, 0)
+        assert res.witness == seed
+
+
+@pytest.mark.parametrize("g", [complete(6), complete_bipartite(3, 4), path(9)],
+                         ids=["K6", "K3_4", "P9"])
+@pytest.mark.parametrize("solve", [ms_exact, cms_exact], ids=["ms", "cms"])
+def test_seed_below_the_optimum_still_reaches_it(g, solve):
+    seed = EdgeOrdering(g, tuple(range(g.num_edges)), LINEAR)
+    res = solve(g, seed=seed)
+    assert res.status == VALUE_FOUND and res.value == solve(g).value
+    assert matching_number(res.witness).value == res.value
+    assert res.value > matching_number(with_mode(seed, res.witness.mode)).value
+
+
+def test_seeded_solve_keeps_the_budget():
+    seed = family_ordering("complete", (7,), CYCLIC)
+    res = cms_exact(seed.graph, SolveBudget(max_nodes=10), seed=seed)
+    assert (res.status, res.nodes_explored, res.value) == (BUDGET_EXCEEDED, 11, None)
+
+
+def test_seed_of_another_graph_is_rejected():
+    seed = family_ordering("complete", (6,), CYCLIC)
+    for solve in (ms_exact, cms_exact):
+        for g in (complete(7), cycle(15)):  # K6 has 15 edges too
+            with pytest.raises(InvalidOrdering):
+                solve(g, seed=seed)
+        # an equal graph built apart is the same graph
+        assert solve(complete(6), seed=seed).value == solve(complete(6)).value
 
 
 @pytest.mark.parametrize("g,d,budget,want", [
