@@ -428,7 +428,7 @@ def _path_layout(n: int) -> tuple[list[int], list[int]]:
 
 
 def _doubled_complete_ordering(n: int, mode: Mode) -> EdgeOrdering:
-    if n % 2 == 0:
+    if n < 5 or n % 2 == 0:
         raise InvalidFamilyParams(f"doubled_complete requires odd n >= 5, got {n}")
     return with_mode(cms_doubled_complete_odd((n - 1) // 2), mode)
 

@@ -5,7 +5,7 @@ decides one target d.  ``exists_ordering`` validates and calls it once.
 ``ms_exact``/``cms_exact`` validate and take two bounds: the
 maximum-matching bound ν above, and a floor L below, 1 or the value that
 ``matching_number`` re-checks of an optional seed, a known ordering of the
-same graph.  If ν > L they build the compat masks and twin classes once,
+same graph.  If ν > L they build the search tables once, in ``_tables``,
 then call the core for d = ν, ν-1, ..., L+1 under one absolute deadline,
 each d getting the node budget still left, possibly 0.  So a node-budget
 hit reports exactly ``max_nodes + 1`` nodes in total.  If every d is
@@ -24,7 +24,7 @@ Herk 1992; Gil and Werman 1993): a node costs three ANDs, plus O(d) at
 every (d-1)-th position, and a search keeps up to two m-bit masks per
 position.
 
-Symmetry breaking has two rules, proved together in ``_twins``: cyclic
+Symmetry breaking has two rules, proved together in ``_tables``: cyclic
 mode pins edge id 0 to position 1, and twins, edges that share a vertex
 with exactly the same edges, are placed in ascending id (the lex-leader
 rule of Crawford, Ginsberg, Luks and Roy, KR 1996).  A twin becomes free
@@ -122,8 +122,7 @@ def exists_ordering(g: Graph, d: int, mode: Mode,
     Returns a witness ordering on success (post-validated through the
     independent checker), a nonexistence certificate on full exhaustion,
     or a budget_exceeded result.  The time budget and ``elapsed_seconds``
-    cover building the compat masks and twin classes as well as the
-    search.
+    cover building the search tables, ``_tables``, as well as the search.
     """
     m = g.num_edges
     if m == 0:
@@ -133,22 +132,21 @@ def exists_ordering(g: Graph, d: int, mode: Mode,
     if mode not in (LINEAR, CYCLIC):
         raise InvalidTarget(f"bad mode {mode!r}")
     t0 = time.perf_counter()
-    compat = _compat_masks(g)
-    res = _search(g, d, mode, compat, _twins(compat), budget.max_nodes,
+    res = _search(g, d, mode, _tables(g), budget.max_nodes,
                   t0 + budget.max_seconds)
     return replace(res, elapsed_seconds=time.perf_counter() - t0)
 
 
-def _search(g: Graph, d: int, mode: Mode, compat: list[int],
-            twins: tuple[list[int], int], max_nodes: int, deadline: float,
-            heuristic: bool = True) -> SolveResult:
+def _search(g: Graph, d: int, mode: Mode,
+            tables: tuple[list[int], list[int], int], max_nodes: int,
+            deadline: float, heuristic: bool = True) -> SolveResult:
     """Decide target d on validated input: budget_exceeded at node max_nodes
     + 1 or at the first checkpoint past ``deadline``, a perf_counter value.
-    ``twins`` is ``_twins(compat)``.  The greedy restarts run at the
+    ``tables`` is ``_tables(g)``.  The greedy restarts run at the
     checkpoints only if ``heuristic``.  The caller times the call:
     ``elapsed_seconds`` is left at 0."""
     m = g.num_edges
-    flip, free = twins  # free: unplaced, with every lower twin placed
+    compat, flip, free = tables  # free: unplaced, every lower twin placed
     cyclic = mode == CYCLIC
     push = _window_rule(m, d, cyclic, compat)
 
@@ -221,16 +219,8 @@ def _window_rule(m: int, d: int, cyclic: bool, compat: list[int]):
     index is placed.  The cyclic wrap, indices 0..w-1 with w <= d-1, is
     ``pre[w-1]``.  So a call makes at most three ANDs for any d, plus the
     rebuild at block starts.  Entries past index i go stale on a pop and
-    are rewritten before they are read, so nothing is undone.  Cost per
-    DFS node, on paths at d = ν: 28 -> 15 µs at d = 512 and 1.1 -> 0.7 µs
-    at d = 8 against ANDing the window edge by edge.  Taking (i, e) from a
-    search that keeps fixed arrays indexed by depth, instead of reading
-    the end of an appended list, took 2-8% more off at d = 8 (medians of
-    interleaved runs, 2 vCPU: P17 cyclic 0.72 -> 0.69 µs, C16 linear
-    0.67 -> 0.61 µs) and was within noise at d = 512.  Memory: up to two
-    m-bit masks per position (K150 cyclic d=70 at 20,000 nodes:
-    ``tracemalloc`` peak 33.9 MB for the edge-by-edge AND, 61.9 MB for
-    this rule).
+    are rewritten before they are read, so nothing is undone.  Memory: up
+    to two m-bit masks per position.
     """
     full = (1 << m) - 1
     k = d - 1
@@ -328,28 +318,21 @@ def _greedy_restarts(g: Graph, d: int, cyclic: bool, compat: list[int]):
             cand = free & push(len(seq) - 1, e)
 
 
-def _compat_masks(g: Graph) -> list[int]:
-    """compat[e] = bitmask of edges sharing no endpoint with e.
+def _tables(g: Graph) -> tuple[list[int], list[int], int]:
+    """The search's tables, ``(compat, flip, start)``, built in one pass.
 
-    Built from per-vertex incidence masks, so e itself and its parallel
+    ``compat[e]`` is the bitmask of edges sharing no endpoint with e.  It
+    is built from per-vertex incidence masks, so e itself and its parallel
     copies, which share both endpoints, are never compatible.
-    """
-    incident = [0] * g.order
-    for e in g.edges:
-        incident[e.u] |= 1 << e.id
-        incident[e.v] |= 1 << e.id
-    full = (1 << g.num_edges) - 1
-    return [full & ~(incident[e.u] | incident[e.v]) for e in g.edges]
 
-
-def _twins(compat: list[int]) -> tuple[list[int], int]:
-    """Twin classes as ``(flip, start)``: ``flip[e]`` is the bit of e plus
-    the bit of e's next-higher twin, if any, and ``start`` has the bit of
-    every edge but the twins that are not the lowest of their class.
-
-    Twins are edges e != f with ``compat[e] == compat[f]``: every other
-    edge meets both or neither.  Parallel copies and the pendant edges at
-    one vertex are twins, for example.
+    ``flip[e]`` is the bit of e plus the bit of e's next-higher twin, if
+    any, and ``start`` has the bit of every edge but the twins that are
+    not the lowest of their class.  Twins are edges e != f with
+    ``compat[e] == compat[f]``: every other edge meets both or neither.
+    Parallel copies and the pendant edges at one vertex are twins, for
+    example.  Each ``1 << e`` is made once: the incidence masks are ORed
+    from them, and the same list becomes ``flip``, so only a twin with a
+    higher twin gets a new int.
 
     Why the search may place each class in ascending id: the value of an
     ordering depends only on which positions hold edges that meet, and
@@ -361,17 +344,22 @@ def _twins(compat: list[int]) -> tuple[list[int], int]:
     value >= d exists iff one exists that keeps the rotation pin and the
     twin order, and the search visits every prefix of those.
     """
+    m = g.num_edges
+    flip = [1 << e for e in range(m)]
+    incident = [0] * g.order
+    for e in g.edges:
+        incident[e.u] |= flip[e.id]
+        incident[e.v] |= flip[e.id]
+    start = full = (1 << m) - 1
+    compat = [full ^ (incident[e.u] | incident[e.v]) for e in g.edges]
     classes: dict[int, list[int]] = {}
     for e, mask in enumerate(compat):
         classes.setdefault(mask, []).append(e)
-    m = len(compat)
-    flip = [1 << e for e in range(m)]
-    start = (1 << m) - 1
     for ids in classes.values():
-        for lo, hi in zip(ids, ids[1:]):
-            flip[lo] |= 1 << hi
-            start ^= 1 << hi
-    return flip, start
+        for lo, hi in zip(ids, ids[1:]):  # ascending: flip[hi] is still a bit
+            flip[lo] |= flip[hi]
+            start ^= flip[hi]
+    return compat, flip, start
 
 
 def _exact(g: Graph, mode: Mode, budget: SolveBudget,
@@ -390,14 +378,13 @@ def _exact(g: Graph, mode: Mode, budget: SolveBudget,
         floor = matching_number(seed).value
     nu = max_matching_size(g)
     if nu > floor:  # else no d is searched
-        compat = _compat_masks(g)
-        twins = _twins(compat)
+        tables = _tables(g)
     nodes = placed = 0
     hist = [0] * m
     certified: int | None = None
     for d in range(nu, floor, -1):
-        res = _search(g, d, mode, compat, twins, budget.max_nodes - nodes,
-                      deadline, heuristic=seed is None)
+        res = _search(g, d, mode, tables, budget.max_nodes - nodes, deadline,
+                      heuristic=seed is None)
         nodes += res.nodes_explored
         placed += res.greedy_placements
         hist = [a + b for a, b in zip(hist, res.depth_histogram)]

@@ -409,10 +409,9 @@ def test_family_ordering_dispatch():
 
 
 def test_family_ordering_rejections():
-    with pytest.raises(InvalidFamilyParams):
-        family_ordering("doubled_complete", (6,), CYCLIC)
-    with pytest.raises(InvalidFamilyParams):
-        family_ordering("doubled_complete", (3,), LINEAR)
+    for n, mode in ((1, CYCLIC), (3, LINEAR), (6, CYCLIC)):
+        with pytest.raises(InvalidFamilyParams, match=f"odd n >= 5, got {n}$"):
+            family_ordering("doubled_complete", (n,), mode)
     with pytest.raises(InvalidFamilyParams):
         family_ordering("complete", (1,), LINEAR)
     with pytest.raises(InvalidFamilyParams):

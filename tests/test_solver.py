@@ -14,8 +14,8 @@ from matchseq.catalog import _canonical_edge_subsets
 from matchseq.constructions import family_ordering
 from matchseq.errors import InvalidOrdering, InvalidTarget
 from matchseq.graphs import Graph, _graph_from_pairs
-from matchseq.solver import (_GREEDY_SCANS, _GREEDY_SLICE, _compat_masks,
-                             _greedy_restarts, _twins, _window_rule)
+from matchseq.solver import (_GREEDY_SCANS, _GREEDY_SLICE, _greedy_restarts,
+                             _tables, _window_rule)
 
 
 def test_k5_cyclic_d2_nonexistence():
@@ -153,16 +153,16 @@ def test_checkpoint_schedule_at_the_budget_boundary(max_nodes, nodes, placements
 
 
 def test_exists_budget_covers_the_compat_masks(monkeypatch):
-    # the masks use up the whole time budget: the search stops at its first
-    # checkpoint, and the reported time includes the masks
+    # the tables use up the whole time budget: the search stops at its first
+    # checkpoint, and the reported time includes the tables
     now = [0.0]
 
-    def slow_masks(g):
+    def slow_tables(g):
         now[0] += 10.0
-        return _compat_masks(g)
+        return _tables(g)
 
     monkeypatch.setattr(solver, "time", SimpleNamespace(perf_counter=lambda: now[0]))
-    monkeypatch.setattr(solver, "_compat_masks", slow_masks)
+    monkeypatch.setattr(solver, "_tables", slow_tables)
     res = exists_ordering(complete(5), 2, CYCLIC, SolveBudget(max_seconds=5.0))
     assert (res.status, res.nodes_explored) == (BUDGET_EXCEEDED, 1)
     assert res.elapsed_seconds == 10.0
@@ -281,7 +281,7 @@ def test_greedy_restarts_yield_only_checked_witnesses(g):
     # the DFS of these hosts ends before its first checkpoint, so the
     # differential test above never runs the heuristic: drive it directly
     m = g.num_edges
-    compat = _compat_masks(g)
+    compat = _tables(g)[0]
     for mode in (LINEAR, CYCLIC):
         best = _best_by_enumeration(g, mode)
         for d in range(1, m + 1):
@@ -295,12 +295,15 @@ def test_greedy_restarts_yield_only_checked_witnesses(g):
                 assert mode == LINEAR or seq[0] == 0
 
 
-def _twins_by_definition(g: Graph):
-    """``(flip, start)`` from sets: twins are edges that meet the same set of
+def _tables_by_definition(g: Graph):
+    """``(compat, flip, start)`` from sets: bit f of ``compat[e]`` is set iff
+    f and e share no endpoint; twins are edges that meet the same set of
     edges; flip each edge's bit and its next-higher twin's, and start with
     every non-lowest twin locked."""
     ends = [{e.u, e.v} for e in g.edges]
     m = len(ends)
+    compat = [sum(1 << f for f in range(m) if not ends[f] & ends[e])
+              for e in range(m)]
     meets = [frozenset(f for f in range(m) if ends[f] & ends[e]) for e in range(m)]
     flip = [1 << e for e in range(m)]
     start = (1 << m) - 1
@@ -309,7 +312,7 @@ def _twins_by_definition(g: Graph):
         if higher:
             flip[e] |= 1 << higher[0]
             start &= ~(1 << higher[0])
-    return flip, start
+    return compat, flip, start
 
 
 def test_twin_detection_matches_equal_compat_masks():
@@ -321,10 +324,12 @@ def test_twin_detection_matches_equal_compat_masks():
               for v in (0, 1) for t in (1, 3)]
     twinned = 0
     for g in hosts:
-        want = _twins_by_definition(g)
-        assert _twins(_compat_masks(g)) == want, [(e.u, e.v) for e in g.edges]
-        twinned += want[1] != (1 << g.num_edges) - 1
+        want = _tables_by_definition(g)
+        assert _tables(g) == want, [(e.u, e.v) for e in g.edges]
+        twinned += want[2] != (1 << g.num_edges) - 1
     assert (twinned, len(hosts)) == (80, 207)  # hosts with a twin class, of all
+    for g in (complete(40), multiply(complete(7), 2)):  # dense, and twins
+        assert _tables(g) == _tables_by_definition(g)
 
 
 def test_matching_bound_one_builds_no_search_tables(monkeypatch):
@@ -332,8 +337,7 @@ def test_matching_bound_one_builds_no_search_tables(monkeypatch):
     def unused(*args):
         raise AssertionError("built for a search that never runs")
 
-    monkeypatch.setattr(solver, "_compat_masks", unused)
-    monkeypatch.setattr(solver, "_twins", unused)
+    monkeypatch.setattr(solver, "_tables", unused)
     for exact in (ms_exact, cms_exact):
         res = exact(complete_bipartite(1, 6))
         assert (res.status, res.value, res.nodes_explored) == (VALUE_FOUND, 1, 0)
@@ -366,7 +370,7 @@ def test_window_rule_matches_its_definition(g, mode):
     # entries the popped positions left behind
     m = g.num_edges
     cyclic = mode == CYCLIC
-    compat = _compat_masks(g)
+    compat = _tables(g)[0]
     rng = random.Random(m)
     for d in range(1, m + 1):
         push = _window_rule(m, d, cyclic, compat)
@@ -386,7 +390,7 @@ def test_greedy_slice_stops_at_the_scan_limit():
     # K60 has 1,770 edges: scoring position 1 spans two slices, and each
     # slice stops after _GREEDY_SCANS candidates
     g = complete(60)
-    gen = _greedy_restarts(g, 3, False, _compat_masks(g))
+    gen = _greedy_restarts(g, 3, False, _tables(g)[0])
     assert _GREEDY_SCANS < g.num_edges
     assert next(gen) == (0, None)
     assert next(gen) == (1, None)
@@ -468,7 +472,7 @@ def test_seed_at_the_matching_bound_needs_no_search(monkeypatch):
     def unused(*args):
         raise AssertionError("built for a search that never runs")
 
-    monkeypatch.setattr(solver, "_compat_masks", unused)
+    monkeypatch.setattr(solver, "_tables", unused)
     for solve, mode in ((ms_exact, LINEAR), (cms_exact, CYCLIC)):
         seed = family_ordering("cycle", (9,), mode)  # C9 attains nu = 4
         res = solve(seed.graph, seed=seed)
