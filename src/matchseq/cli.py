@@ -131,9 +131,8 @@ def _cmd_check(args) -> int:
         print("violating_pair=none (the graph is a matching)")
     else:
         a, b, gap = report.violating_pair
-        ea, eb = g.edges[a], g.edges[b]
-        print(f"violating_pair=edge {a} {{{ea.u},{ea.v}}} at position "
-              f"{ordering.position(a)}, edge {b} {{{eb.u},{eb.v}}} at position "
+        print(f"violating_pair=edge {a} {{{g.us[a]},{g.vs[a]}}} at position "
+              f"{ordering.position(a)}, edge {b} {{{g.us[b]},{g.vs[b]}}} at position "
               f"{ordering.position(b)}, gap {gap}")
     return 0
 

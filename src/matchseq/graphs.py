@@ -1,10 +1,17 @@
 """Graph values, graph builders, and matching utilities.
 
-Graphs are immutable: a vertex count ``order`` plus a tuple of edges.
+Graphs are immutable: a vertex count ``order`` plus two endpoint columns,
+the int tuples ``us`` and ``vs``.  Edge i joins ``us[i] < vs[i]``; edge ids
+are implicit, the index into the columns.  The builders fill the columns
+directly and make no per-edge object.  :attr:`Graph.edges` gives the same
+edges as a tuple of :class:`Edge`, but builds that tuple on every access, so
+hot code reads ``us``/``vs`` instead.
+
 Constructing a :class:`Graph` validates it; a graph is accepted iff
 
 * ``order >= 1``;
-* edge ids are dense: ``edges[i].id == i``;
+* edge ids are dense: ``edges[i].id == i`` (a rule for the ``edges`` that
+  ``Graph(order, edges)`` takes; the columns hold no ids);
 * endpoints are normalized and in range: ``0 <= u < v < order``, so loops
   are always rejected;
 * no vertex pair appears twice, unless ``allow_parallel`` is set, which is
@@ -13,20 +20,22 @@ Constructing a :class:`Graph` validates it; a graph is accepted iff
 A rejected graph raises ``ValueError`` naming its first faulty edge in id
 order (the first edge whose id, endpoints or pair breaks a rule above).
 
-Edge-list text format::
+Edge-list text format: a header line, then one line per edge with 0-based
+endpoints; the edge id is the line order, and ``#`` starts a comment only
+at the start of a line::
 
     n m [multi]
-    u v          # one line per edge, 0-based, id = line order
+    u v
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from operator import eq, itemgetter, lt
-from typing import Iterable, NamedTuple
+from itertools import chain, count, repeat
+from operator import eq, lt
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import FormatError, InvalidFamilyParams, InvalidVertex
 
@@ -41,44 +50,68 @@ class Edge(NamedTuple):
         return frozenset((self.u, self.v))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Graph:
+    """A graph as two endpoint columns: edge i joins ``us[i] < vs[i]``.
+
+    ``Graph(order, edges, allow_parallel)`` takes the edges as
+    ``Edge(id, u, v)`` tuples and keeps only their endpoints; the builders
+    below make the columns directly (:func:`_from_columns`).
+    """
+
     order: int
-    edges: tuple[Edge, ...]
+    us: tuple[int, ...]
+    vs: tuple[int, ...]
     allow_parallel: bool = False
 
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError(f"graph order must be >= 1, got {self.order}")
-        edges = self.edges
-        if not edges:
-            return
-        # Each rule as one pass over the edges; only a graph that breaks one
-        # runs the per-edge loop, which names the first faulty edge.
-        ids, us, vs = itemgetter(0), itemgetter(1), itemgetter(2)
-        if not (all(map(eq, map(ids, edges), itertools.count()))
-                and all(map(lt, map(us, edges), map(vs, edges)))
-                and min(map(us, edges)) >= 0
-                and max(map(vs, edges)) < self.order
-                and (self.allow_parallel
-                     or len(set(map(itemgetter(1, 2), edges))) == len(edges))):
-            self._raise_first_fault()
+    def __init__(self, order: int, edges: Iterable[Edge],
+                 allow_parallel: bool = False):
+        ids, us, vs = tuple(zip(*edges)) or ((), (), ())
+        self._fill(order, us, vs, allow_parallel, ids)
 
-    def _raise_first_fault(self):
+    def _fill(self, order: int, us: tuple[int, ...], vs: tuple[int, ...],
+              allow_parallel: bool, ids: tuple[int, ...] | None = None) -> None:
+        """Set the fields and validate them, with the ids the edges were
+        given with, if any."""
+        put = object.__setattr__
+        put(self, "order", order)
+        put(self, "us", us)
+        put(self, "vs", vs)
+        put(self, "allow_parallel", allow_parallel)
+        if order < 1:
+            raise ValueError(f"graph order must be >= 1, got {order}")
+        # Each rule as one pass over the columns; only a graph that breaks
+        # one runs the per-edge loop, which names the first faulty edge.
+        # For valid endpoints, u * order + v is one int per vertex pair.
+        if us and not ((ids is None or all(map(eq, ids, count())))
+                       and all(map(lt, us, vs)) and min(us) >= 0 and max(vs) < order
+                       and (allow_parallel
+                            or len({u * order + v for u, v in zip(us, vs)}) == len(us))):
+            self._raise_first_fault(ids)
+
+    def _raise_first_fault(self, ids: tuple[int, ...] | None):
         """The per-edge check: raise for the first faulty edge in id order."""
-        seen: set[tuple[int, int]] = set()
-        for i, e in enumerate(self.edges):
-            if e.id != i:
-                raise ValueError(f"edge ids must be dense: edges[{i}].id == {e.id}")
-            if not (0 <= e.u < e.v < self.order):
-                raise ValueError(f"bad edge {e}: need 0 <= u < v < {self.order}")
-            if (e.u, e.v) in seen and not self.allow_parallel:
-                raise ValueError(f"duplicate edge {{{e.u},{e.v}}} in a simple graph")
-            seen.add((e.u, e.v))
+        order = self.order
+        seen: set[int] = set()
+        for i, u, v in zip(count(), self.us, self.vs):
+            if ids is not None and ids[i] != i:
+                raise ValueError(f"edge ids must be dense: edges[{i}].id == {ids[i]}")
+            if not (0 <= u < v < order):
+                raise ValueError(f"bad edge {Edge(i, u, v)}: need 0 <= u < v < {order}")
+            if u * order + v in seen and not self.allow_parallel:
+                raise ValueError(f"duplicate edge {{{u},{v}}} in a simple graph")
+            seen.add(u * order + v)
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges as ``Edge(id, u, v)`` in id order, built anew on every
+        access: read ``us``/``vs`` on hot paths."""
+        return tuple(map(tuple.__new__, repeat(Edge),
+                         zip(count(), self.us, self.vs)))
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.us)
 
     @cached_property
     def _pair_index(self) -> dict[tuple[int, int], tuple[int, ...]]:
@@ -86,7 +119,7 @@ class Graph:
         ascending."""
         index: dict[tuple[int, int], tuple[int, ...]] = {}
         get = index.get
-        for i, u, v in self.edges:
+        for i, u, v in zip(count(), self.us, self.vs):
             index[u, v] = get((u, v), ()) + (i,)
         return index
 
@@ -95,41 +128,54 @@ class Graph:
         return self._pair_index.get((a, b) if a < b else (b, a), ())
 
 
+def _from_columns(order: int, us: tuple[int, ...], vs: tuple[int, ...],
+                  allow_parallel: bool = False) -> Graph:
+    """The graph with edge i joining ``us[i] < vs[i]``, validated like
+    ``Graph(order, edges)``."""
+    g = object.__new__(Graph)
+    g._fill(order, us, vs, allow_parallel)
+    return g
+
+
 def _graph_from_pairs(order: int, pairs: Iterable[tuple[int, int]],
                       allow_parallel: bool = False) -> Graph:
-    new = tuple.__new__  # Edge(i, a, b) without the namedtuple's Python-level __new__
-    edges = tuple([new(Edge, (i, a, b) if a < b else (i, b, a))
-                   for i, (a, b) in enumerate(pairs)])
-    return Graph(order, edges, allow_parallel)
+    ends = [(a, b) if a < b else (b, a) for a, b in pairs]
+    us, vs = tuple(zip(*ends)) or ((), ())
+    return _from_columns(order, us, vs, allow_parallel)
 
 
 def complete(n: int) -> Graph:
     """K_n with lexicographic edge ids: (0,1), (0,2), ..., (n-2,n-1)."""
     if n < 1:
         raise InvalidFamilyParams(f"complete requires n >= 1, got {n}")
-    return _graph_from_pairs(n, itertools.combinations(range(n), 2))
+    verts = tuple(range(n))  # u repeated n-1-u times, each next to u+1..n-1
+    return _from_columns(n, tuple(chain.from_iterable(map(repeat, verts, verts[::-1]))),
+                         tuple(chain.from_iterable(verts[u + 1:] for u in verts)))
 
 
 def complete_bipartite(p: int, q: int) -> Graph:
     """K_{p,q}: left vertices 0..p-1, right p..p+q-1, ids row-major."""
     if p < 1 or q < 1:
         raise InvalidFamilyParams(f"complete_bipartite requires p,q >= 1, got ({p},{q})")
-    pairs = ((i, p + j) for i in range(p) for j in range(q))
-    return _graph_from_pairs(p + q, pairs)
+    # row i repeated q times, each next to the columns p..p+q-1
+    return _from_columns(p + q, tuple(chain.from_iterable(map(repeat, range(p), repeat(q, p)))),
+                         tuple(range(p, p + q)) * p)
 
 
 def cycle(n: int) -> Graph:
     """C_n with edge e_i = {i, (i+1) mod n} and id i."""
     if n < 3:
         raise InvalidFamilyParams(f"cycle requires n >= 3, got {n}")
-    return _graph_from_pairs(n, ((i, (i + 1) % n) for i in range(n)))
+    verts = tuple(range(n))  # e_{n-1} = {n-1, 0} is stored as (0, n-1)
+    return _from_columns(n, verts[:-1] + verts[:1], verts[1:] + verts[-1:])
 
 
 def path(n: int) -> Graph:
     """P_n with edge e_i = {i, i+1}."""
     if n < 2:
         raise InvalidFamilyParams(f"path requires n >= 2, got {n}")
-    return _graph_from_pairs(n, ((i, i + 1) for i in range(n - 1)))
+    verts = tuple(range(n))
+    return _from_columns(n, verts[:-1], verts[1:])
 
 
 def circulant3(n: int) -> Graph:
@@ -141,11 +187,10 @@ def circulant3(n: int) -> Graph:
     """
     if n < 3:
         raise InvalidFamilyParams(f"circulant3 requires n >= 3, got {n}")
-    pairs = []
-    for i in range(n):
-        for c in ((i - 1) % n, i, (i + 1) % n):
-            pairs.append((i, n + c))
-    return _graph_from_pairs(2 * n, pairs)
+    cols = tuple(range(n, 2 * n))
+    vs = chain.from_iterable((cols[i - 1], cols[i], cols[(i + 1) % n]) for i in range(n))
+    return _from_columns(2 * n, tuple(chain.from_iterable(map(repeat, range(n), repeat(3, n)))),
+                         tuple(vs))
 
 
 def multiply(g: Graph, k: int) -> Graph:
@@ -155,8 +200,7 @@ def multiply(g: Graph, k: int) -> Graph:
     """
     if k < 1:
         raise InvalidFamilyParams(f"multiply requires k >= 1, got {k}")
-    pairs = [(e.u, e.v) for _ in range(k) for e in g.edges]
-    return _graph_from_pairs(g.order, pairs, allow_parallel=True)
+    return _from_columns(g.order, g.us * k, g.vs * k, allow_parallel=True)
 
 
 def attach_pendants(g: Graph, v: int, t: int) -> Graph:
@@ -165,8 +209,9 @@ def attach_pendants(g: Graph, v: int, t: int) -> Graph:
         raise InvalidVertex(f"vertex {v} not in [0, {g.order})")
     if t < 1:
         raise InvalidFamilyParams(f"attach_pendants requires t >= 1, got {t}")
-    pairs = [(e.u, e.v) for e in g.edges] + [(v, g.order + j) for j in range(t)]
-    return _graph_from_pairs(g.order + t, pairs, allow_parallel=g.allow_parallel)
+    return _from_columns(g.order + t, g.us + (v,) * t,
+                         g.vs + tuple(range(g.order, g.order + t)),
+                         allow_parallel=g.allow_parallel)
 
 
 def adjacent(e: Edge, f: Edge) -> bool:
@@ -179,18 +224,19 @@ def adjacent(e: Edge, f: Edge) -> bool:
 
 def degrees(g: Graph) -> list[int]:
     deg = [0] * g.order
-    for e in g.edges:
-        deg[e.u] += 1
-        deg[e.v] += 1
+    for u in g.us:
+        deg[u] += 1
+    for v in g.vs:
+        deg[v] += 1
     return deg
 
 
 def _neighbour_sets(g: Graph) -> list[set[int]]:
     """Per-vertex neighbour sets, filled in edge-id order."""
     nbrs: list[set[int]] = [set() for _ in range(g.order)]
-    for e in g.edges:
-        nbrs[e.u].add(e.v)
-        nbrs[e.v].add(e.u)
+    for u, v in zip(g.us, g.vs):
+        nbrs[u].add(v)
+        nbrs[v].add(u)
     return nbrs
 
 
@@ -340,25 +386,40 @@ def write_edge_list(g: Graph) -> str:
     header = f"{g.order} {g.num_edges}"
     if g.allow_parallel:
         header += " multi"
-    lines = [header] + [f"{e.u} {e.v}" for e in g.edges]
+    lines = [header] + [f"{u} {v}" for u, v in zip(g.us, g.vs)]
     return "\n".join(lines) + "\n"
+
+
+def _lines(text: str, chunk: int = 1 << 16) -> Iterator[str]:
+    """The lines of ``text`` exactly as ``text.splitlines()`` gives them,
+    split one chunk of about ``chunk`` characters at a time, so that no list
+    of all the lines is ever held.  A chunk ends just after a ``\\n``,
+    which ends a line in every case (alone or as the end of ``\\r\\n``), so
+    the chunks' lines are the text's lines."""
+    start, end = 0, len(text)
+    while start < end:
+        stop = text.find("\n", start + chunk) + 1 or end
+        yield from text[start:stop].splitlines()
+        start = stop
 
 
 def read_edge_list(text: str) -> Graph:
     """Parse the edge-list format; raises FormatError with line numbers.
 
     One pass: the first non-comment line is the header, and each later one
-    is parsed as an edge when it is read.  So a bad edge line is reported
-    before a wrong edge count, which names the header's line.
+    is parsed into the endpoint columns when it is read.  So a bad edge
+    line is reported before a wrong edge count, which names the header's
+    line.
     """
     header_line = 0
-    pairs: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        row = raw.strip()
-        if not row or row.startswith("#"):
+    us: list[int] = []
+    vs: list[int] = []
+    for lineno, raw in enumerate(_lines(text), start=1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
         if not header_line:
-            header_line, parts = lineno, row.split()
+            header_line = lineno
             allow_parallel = parts[2:] == ["multi"]
             if len(parts) != 2 + allow_parallel:
                 raise FormatError("header must be 'n m' or 'n m multi'", lineno)
@@ -368,7 +429,7 @@ def read_edge_list(text: str) -> Graph:
                 raise FormatError("header must contain integers", lineno) from None
             continue
         try:
-            u_s, v_s = row.split()
+            u_s, v_s = parts
         except ValueError:
             raise FormatError("edge line must be 'u v'", lineno) from None
         try:
@@ -379,12 +440,15 @@ def read_edge_list(text: str) -> Graph:
             raise FormatError("loops are not allowed", lineno)
         if not (0 <= u < n and 0 <= v < n):
             raise FormatError(f"endpoint out of range [0, {n})", lineno)
-        pairs.append((u, v))
+        if u > v:
+            u, v = v, u
+        us.append(u)
+        vs.append(v)
     if not header_line:
         raise FormatError("empty edge-list file")
-    if len(pairs) != m:
-        raise FormatError(f"expected {m} edge lines, found {len(pairs)}", header_line)
+    if len(us) != m:
+        raise FormatError(f"expected {m} edge lines, found {len(us)}", header_line)
     try:
-        return _graph_from_pairs(n, pairs, allow_parallel)
+        return _from_columns(n, tuple(us), tuple(vs), allow_parallel)
     except ValueError as exc:
         raise FormatError(str(exc)) from None

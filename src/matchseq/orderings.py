@@ -94,11 +94,11 @@ def is_matching(g: Graph, edge_ids: Iterable[int]) -> bool:
     for eid in set(edge_ids):
         if not (0 <= eid < g.num_edges):
             raise InvalidEdgeId(f"edge id {eid} not in [0, {g.num_edges})")
-        e = g.edges[eid]
-        if e.u in seen or e.v in seen:
+        u, v = g.us[eid], g.vs[eid]
+        if u in seen or v in seen:
             return False
-        seen.add(e.u)
-        seen.add(e.v)
+        seen.add(u)
+        seen.add(v)
     return True
 
 
@@ -117,12 +117,13 @@ def matching_number(o: EdgeOrdering) -> MatchingNumberReport:
     their later position, so only a strictly smaller gap replaces the best.
     """
     m = o.length
-    edges = o.graph.edges
+    us, vs = o.graph.us, o.graph.vs
     first = [0] * o.graph.order  # 0: vertex not met yet
     last = [0] * o.graph.order
     gap, lo, hi = m + 1, 0, 0  # best (gap, pos_lo, pos_hi); m + 1: no pair yet
     for t, eid in enumerate(o.sequence, start=1):
-        _, u, v = edges[eid]
+        u = us[eid]
+        v = vs[eid]
         p = last[u]
         if not p:
             first[u] = t
@@ -190,18 +191,19 @@ def random_ordering(g: Graph, mode: Mode, rng: random.Random) -> EdgeOrdering:
 # ordering file format
 
 def _edge_token(o: EdgeOrdering, eid: int) -> str:
-    e = o.graph.edges[eid]
-    siblings = o.graph.edge_ids_between(e.u, e.v)
+    u, v = o.graph.us[eid], o.graph.vs[eid]
+    siblings = o.graph.edge_ids_between(u, v)
     if len(siblings) == 1:
-        return f"{e.u}-{e.v}"
-    return f"{e.u}-{e.v}#{siblings.index(eid)}"
+        return f"{u}-{v}"
+    return f"{u}-{v}#{siblings.index(eid)}"
 
 
 def write_ordering(o: EdgeOrdering) -> str:
     if o.graph.allow_parallel:
         tokens = [_edge_token(o, eid) for eid in o.sequence]
     else:  # every pair is a single edge: the token is plain "u-v"
-        tokens = [f"{u}-{v}" for _, u, v in map(o.graph.edges.__getitem__, o.sequence)]
+        us, vs = o.graph.us, o.graph.vs
+        tokens = [f"{us[eid]}-{vs[eid]}" for eid in o.sequence]
     return " ".join(tokens) + "\n"
 
 

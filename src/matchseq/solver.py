@@ -266,7 +266,7 @@ def _greedy_restarts(g: Graph, d: int, cyclic: bool, compat: list[int]):
     """
     m = g.num_edges
     push = _window_rule(m, d, cyclic, compat)
-    ends = [(e.u, e.v) for e in g.edges]
+    ends = list(zip(g.us, g.vs))
     degree = degrees(g)
     rand = random.Random(_GREEDY_SEED).random
     full = (1 << m) - 1
@@ -347,11 +347,11 @@ def _tables(g: Graph) -> tuple[list[int], list[int], int]:
     m = g.num_edges
     flip = [1 << e for e in range(m)]
     incident = [0] * g.order
-    for e in g.edges:
-        incident[e.u] |= flip[e.id]
-        incident[e.v] |= flip[e.id]
+    for bit, u, v in zip(flip, g.us, g.vs):
+        incident[u] |= bit
+        incident[v] |= bit
     start = full = (1 << m) - 1
-    compat = [full ^ (incident[e.u] | incident[e.v]) for e in g.edges]
+    compat = [full ^ (incident[u] | incident[v]) for u, v in zip(g.us, g.vs)]
     classes: dict[int, list[int]] = {}
     for e, mask in enumerate(compat):
         classes.setdefault(mask, []).append(e)
