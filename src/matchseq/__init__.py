@@ -13,10 +13,10 @@ binding the three together.
 from .errors import (FormatError, InvalidEdgeId, InvalidFamilyParams,
                      InvalidOrdering, InvalidTarget, InvalidVertex,
                      MatchseqError, NoKnownFormula)
-from .graphs import (Edge, Graph, adjacent, attach_pendants, circulant3,
-                     complete, complete_bipartite, cycle, degrees,
-                     is_connected, is_tree, max_matching_size, multiply, path,
-                     random_tree, read_edge_list, write_edge_list)
+from .graphs import (Edge, Graph, attach_pendants, circulant3, complete,
+                     complete_bipartite, cycle, degrees, is_connected, is_tree,
+                     max_matching_size, multiply, path, random_tree,
+                     read_edge_list, write_edge_list)
 from .orderings import (CYCLIC, LINEAR, EdgeOrdering, MatchingNumberReport,
                         is_matching, matching_number,
                         matching_number_bruteforce, parse_biadjacency,

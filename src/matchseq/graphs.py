@@ -45,10 +45,6 @@ class Edge(NamedTuple):
     u: int
     v: int
 
-    @property
-    def endpoints(self) -> frozenset[int]:
-        return frozenset((self.u, self.v))
-
 
 @dataclass(frozen=True, init=False)
 class Graph:
@@ -212,14 +208,6 @@ def attach_pendants(g: Graph, v: int, t: int) -> Graph:
     return _from_columns(g.order + t, g.us + (v,) * t,
                          g.vs + tuple(range(g.order, g.order + t)),
                          allow_parallel=g.allow_parallel)
-
-
-def adjacent(e: Edge, f: Edge) -> bool:
-    """True iff two distinct edges share an endpoint.
-
-    Parallel copies share both endpoints and are therefore adjacent.
-    """
-    return bool(e.endpoints & f.endpoints)
 
 
 def degrees(g: Graph) -> list[int]:

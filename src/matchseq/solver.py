@@ -10,7 +10,7 @@ then call the core for d = ν, ν-1, ..., L+1 under one absolute deadline,
 each d getting the node budget still left, possibly 0.  So a node-budget
 hit reports exactly ``max_nodes + 1`` nodes in total.  If every d is
 refuted, the seed is the witness (any ordering, unseeded), so a seed at ν
-costs no search at all.
+costs no search at all; out of budget, the seed stays the witness.
 
 The core places edges into positions 1..m depth-first, in one loop over m
 preallocated slots indexed by the depth p: the placed edge and the untried
@@ -36,13 +36,12 @@ side is heavy-tailed under that fixed order (K8 linear d=3 took 759,509
 nodes), so each d's search, which counts nodes from 0, has checkpoints,
 met by one comparison per node: node 1, every 4,096th node and node
 max_nodes + 1.  Each tests the budget; each 4,096th node then runs one
-slice of a greedy-restart generator, a fresh one per d.  A slice ends
-after 128 placements (at most 1/32 of the DFS nodes) or 1,024 scored
-candidates, whichever comes first, so it stays a small share of the
-stride's time on dense hosts too (K400: 7.6 ms per slice against 0.34 s
-for 4,096 DFS nodes).  Each restart fills positions 1..m through the same
-window rule (edge 0 first in cyclic mode, twins in any order, since every
-witness is re-checked), preferring the candidate whose
+slice of a greedy-restart generator, a fresh one per d.  A slice ends once
+it has scored 1,024 candidates, and on nothing else.  Each placement scores
+at least one, so a slice places at most 1,025 edges: the first may finish
+a scan that the slice before began.  Each restart fills positions 1..m
+through the same window rule (edge 0 first in cyclic mode, twins in any
+order, since every witness is re-checked), preferring the candidate whose
 endpoints have the most unplaced edges, ties broken by a fixed-seed
 ``random.Random``, so every search is deterministic.  A restart may span
 several checkpoints.  A search that ends before node 4,096 never starts
@@ -73,7 +72,6 @@ NONEXISTENCE_CERTIFIED = "nonexistence_certified"
 BUDGET_EXCEEDED = "budget_exceeded"
 
 _BUDGET_CHECK_STRIDE = 4096
-_GREEDY_SLICE = _BUDGET_CHECK_STRIDE // 32  # placements per checkpoint
 _GREEDY_SCANS = _BUDGET_CHECK_STRIDE // 4  # candidates scored per checkpoint
 _GREEDY_SEED = 0
 
@@ -253,16 +251,15 @@ def _greedy_restarts(g: Graph, d: int, cyclic: bool, compat: list[int]):
     """Seeded greedy restarts towards an ordering of matching number >= d.
 
     Runs in slices: each ``next`` resumes the restarts until they have
-    placed _GREEDY_SLICE edges or scored _GREEDY_SCANS candidates, and
-    returns (edges placed in the slice, finished sequence or None).  The
-    scan limit bounds a slice on dense hosts, where one placement may
-    score thousands of candidates; a placement it cuts off resumes in the
-    next slice.  Position p takes a candidate allowed by ``_window_rule``
-    (edge 0 opens cyclic sequences) whose two endpoints have the most
-    unplaced edges, ties broken by a fixed-seed ``random.Random``.  A
-    restart with no candidate left is dropped and the next one begins.
-    Finished sequences are not checked here; ``_search`` re-checks them
-    with ``matching_number`` like any DFS witness.
+    scored _GREEDY_SCANS candidates, and returns (edges placed in the
+    slice, finished sequence or None).  A placement whose scan a slice cuts
+    off resumes in the next slice, so one rule bounds a slice on sparse and
+    dense hosts alike.  Position p takes a candidate allowed by
+    ``_window_rule`` (edge 0 opens cyclic sequences) whose two endpoints
+    have the most unplaced edges, ties broken by a fixed-seed
+    ``random.Random``.  A restart with no candidate left is dropped and the
+    next one begins.  Finished sequences are not checked here; ``_search``
+    re-checks them with ``matching_number`` like any DFS witness.
     """
     m = g.num_edges
     push = _window_rule(m, d, cyclic, compat)
@@ -271,34 +268,28 @@ def _greedy_restarts(g: Graph, d: int, cyclic: bool, compat: list[int]):
     rand = random.Random(_GREEDY_SEED).random
     full = (1 << m) - 1
     placed = scanned = 0
-    opening: list[int] = []  # the best of position 1, the same in every restart
     while True:  # one restart
         left = degree[:]  # unplaced edges at each vertex
         seq: list[int] = []
         free = full
         cand = 1 if cyclic else full
         while True:
-            if not seq and opening:
-                best = opening
-            else:
-                best = []  # the candidates of top score, ascending id
-                top = -1
-                while cand:
-                    bit = cand & -cand
-                    cand ^= bit
-                    e = bit.bit_length() - 1
-                    u, v = ends[e]
-                    score = left[u] + left[v]
-                    if score > top:
-                        best, top = [e], score
-                    elif score == top:
-                        best.append(e)
-                    scanned += 1
-                    if scanned == _GREEDY_SCANS:
-                        yield placed, None
-                        placed = scanned = 0
-                if not seq:
-                    opening = best
+            best = []  # the candidates of top score, ascending id
+            top = -1
+            while cand:
+                bit = cand & -cand
+                cand ^= bit
+                e = bit.bit_length() - 1
+                u, v = ends[e]
+                score = left[u] + left[v]
+                if score > top:
+                    best, top = [e], score
+                elif score == top:
+                    best.append(e)
+                scanned += 1
+                if scanned == _GREEDY_SCANS:
+                    yield placed, None
+                    placed = scanned = 0
             if not best:
                 break
             e = best[int(rand() * len(best))]
@@ -312,9 +303,6 @@ def _greedy_restarts(g: Graph, d: int, cyclic: bool, compat: list[int]):
                 yield placed, tuple(seq)
                 placed = scanned = 0
                 break
-            if placed == _GREEDY_SLICE:
-                yield placed, None
-                placed = scanned = 0
             cand = free & push(len(seq) - 1, e)
 
 
@@ -389,7 +377,9 @@ def _exact(g: Graph, mode: Mode, budget: SolveBudget,
         placed += res.greedy_placements
         hist = [a + b for a, b in zip(hist, res.depth_histogram)]
         if res.status != NONEXISTENCE_CERTIFIED:  # found, or out of budget
-            return SolveResult(res.status, res.value, res.witness, nodes,
+            # out of budget, a seed is still the best ordering known
+            witness = res.witness if res.value is not None else seed
+            return SolveResult(res.status, res.value, witness, nodes,
                                tuple(hist), time.perf_counter() - t0,
                                certified_upper=certified if res.value is None else None,
                                greedy_placements=placed)
@@ -407,8 +397,9 @@ def ms_exact(g: Graph, budget: SolveBudget = SolveBudget(),
 
     ``seed``, an ordering of g in either mode, is a known witness: its
     linear value L is re-checked, and only the d above L are searched, with
-    no greedy restarts.  If all are refuted, the result's witness is the
-    seed read in linear mode.
+    no greedy restarts.  If all are refuted, or the budget runs out first,
+    the result's witness is the seed read in linear mode; out of budget,
+    ``value`` stays None.
     """
     return _exact(g, LINEAR, budget, seed)
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from matchseq import (Edge, FamilySpec, adjacent, attach_pendants, build_family,
+from matchseq import (Edge, FamilySpec, attach_pendants, build_family,
                       circulant3, complete, complete_bipartite, cycle, degrees,
                       is_connected, is_tree, max_matching_size, multiply, path,
                       random_tree, read_edge_list, write_edge_list)
@@ -91,7 +91,8 @@ def test_multiply_identity_and_parallel_adjacency():
     for a in copies:
         for b in copies:
             if a != b:
-                assert adjacent(g3.edges[a], g3.edges[b])
+                ea, eb = g3.edges[a], g3.edges[b]
+                assert {ea.u, ea.v} == {eb.u, eb.v}
 
 
 @pytest.mark.parametrize("g", [complete(5), cycle(6), path(7)])
@@ -116,20 +117,6 @@ def test_attach_pendants_single_leaf():
 def test_attach_pendants_bad_vertex():
     with pytest.raises(InvalidVertex):
         attach_pendants(path(4), 4, 1)
-
-
-def test_adjacent_basic():
-    g = path(4)  # edges (0,1), (1,2), (2,3)
-    assert adjacent(g.edges[0], g.edges[1])
-    assert not adjacent(g.edges[0], g.edges[2])
-
-
-def test_adjacent_symmetric_irreflexive_over_families():
-    for g in (complete(5), circulant3(4), multiply(cycle(4), 2)):
-        for e in g.edges:
-            for f in g.edges:
-                if e.id != f.id:
-                    assert adjacent(e, f) == adjacent(f, e)
 
 
 def test_max_matching_values():

@@ -14,8 +14,7 @@ from matchseq.catalog import _canonical_edge_subsets
 from matchseq.constructions import family_ordering
 from matchseq.errors import InvalidOrdering, InvalidTarget
 from matchseq.graphs import Graph, _graph_from_pairs
-from matchseq.solver import (_GREEDY_SCANS, _GREEDY_SLICE, _greedy_restarts,
-                             _tables, _window_rule)
+from matchseq.solver import _GREEDY_SCANS, _greedy_restarts, _tables, _window_rule
 
 
 def test_k5_cyclic_d2_nonexistence():
@@ -139,9 +138,9 @@ def test_exact_node_budget_is_a_total_cap():
 
 @pytest.mark.parametrize("max_nodes,nodes,placements", [
     (4_095, 4_096, 0),
-    (4_096, 4_097, 128),
-    (8_191, 8_192, 128),
-    (8_192, 8_193, 256),
+    (4_096, 4_097, 477),
+    (8_191, 8_192, 477),
+    (8_192, 8_193, 936),
 ])
 def test_checkpoint_schedule_at_the_budget_boundary(max_nodes, nodes, placements):
     # checkpoints fall on node 1, every 4,096th node and node max_nodes + 1;
@@ -401,44 +400,60 @@ def test_k9_cyclic_d3_found_by_the_greedy_restarts():
     assert res.status == VALUE_FOUND
     assert matching_number(res.witness).value >= 3
     assert res.witness.sequence[0] == 0
-    # found at a checkpoint, with at most one slice per 4,096 DFS nodes
-    assert 0 < res.greedy_placements <= res.nodes_explored // 32
+    # found at a checkpoint, with at most one slice per 4,096 DFS nodes;
+    # a slice scores _GREEDY_SCANS candidates, each placement at least one
+    assert 0 < res.greedy_placements <= \
+        (res.nodes_explored // 4096) * (_GREEDY_SCANS + 1)
     assert res.nodes_explored < 500_000
 
 
+def test_k11_cyclic_d4_pins_the_greedy_path():
+    # the paper's K_{2m+1} at d = m-1, found by the restarts: their path and
+    # the checkpoints where their slices end both show in the counts
+    res = exists_ordering(complete(11), 4, CYCLIC)
+    assert (res.status, res.nodes_explored, res.greedy_placements) == \
+        (VALUE_FOUND, 270_336, 11_281)
+    assert matching_number(res.witness).value >= 4
+
+
 def test_refutation_runs_the_heuristic_without_moving_its_count():
-    # K7 cyclic d=3 has no witness: every checkpoint runs a full slice
-    res = exists_ordering(complete(7), 3, CYCLIC)
+    # K7 cyclic d=3 has no witness: each of the nine checkpoints runs the
+    # next full slice of the restarts, and the count is the DFS's alone
+    g = complete(7)
+    res = exists_ordering(g, 3, CYCLIC)
     assert res.status == NONEXISTENCE_CERTIFIED
     assert res.nodes_explored == 39_341
-    assert res.greedy_placements == (res.nodes_explored // 4096) * _GREEDY_SLICE
+    gen = _greedy_restarts(g, 3, True, _tables(g)[0])
+    slices = [next(gen) for _ in range(res.nodes_explored // 4096)]
+    assert all(found is None for _, found in slices)
+    assert res.greedy_placements == sum(work for work, _ in slices) == 4_155
 
 
 # unseeded exact solves of the reference search: (solve, host, nodes,
 # greedy placements, depth histogram)
 _PINNED_SOLVES = {
-    "ms-K5_5": (ms_exact, lambda: complete_bipartite(5, 5), 35_596, 1_024,
+    "ms-K5_5": (ms_exact, lambda: complete_bipartite(5, 5), 35_596, 743,
         (26, 401, 3601, 14401, 14401, 1, 1, 1, 2, 4, 7, 12, 24, 46, 82,
          136, 198, 289, 444, 638, 487, 285, 98, 10, 1)),
-    "ms-circulant3_6": (ms_exact, lambda: circulant3(6), 49_806, 1_536,
+    "ms-circulant3_6": (ms_exact, lambda: circulant3(6), 49_806, 1_435,
         (19, 235, 2017, 10081, 23041, 14401, 1, 1, 1, 1, 1, 1, 1, 1, 1,
          1, 1, 1)),
-    "cms-K7": (cms_exact, lambda: complete(7), 39_426, 1_152,
+    "cms-K7": (cms_exact, lambda: complete(7), 39_426, 4_155,
         (2, 11, 31, 61, 121, 241, 481, 721, 1201, 1921, 2881, 3361,
          4321, 4803, 5528, 4331, 3373, 2656, 2413, 967, 1)),
     "cms-K5_5": (cms_exact, lambda: complete_bipartite(5, 5), 4_876, 0,
         (2, 17, 145, 577, 577, 1, 1, 1, 2, 4, 8, 16, 32, 65, 118, 170,
          256, 401, 585, 799, 639, 369, 85, 5, 1)),
-    "cms-2K7": (cms_exact, lambda: multiply(complete(7), 2), 5_853, 128,
+    "cms-2K7": (cms_exact, lambda: multiply(complete(7), 2), 5_853, 269,
         (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
          2, 4, 6, 12, 22, 43, 70, 118, 190, 323, 399, 534, 697, 823,
          768, 672, 541, 454, 140, 13, 1)),
-    "ms-K8": (ms_exact, lambda: complete(8), 9_584, 156,
+    "ms-K8": (ms_exact, lambda: complete(8), 9_584, 108,
         (29, 421, 2521, 2521, 1, 1, 1, 1, 1, 1, 1, 1, 1, 3, 10, 22, 49,
          132, 277, 435, 665, 831, 865, 574, 209, 11, 0, 0)),
-    "cms-K8": (cms_exact, lambda: complete(8), 12_484, 271,
-        (2, 16, 91, 91, 1, 1, 1, 1, 1, 1, 1, 1, 2, 7, 21, 51, 124, 330,
-         655, 1112, 1829, 2504, 2821, 1905, 754, 161, 0, 0)),
+    "cms-K8": (cms_exact, lambda: complete(8), 4_292, 271,
+        (2, 16, 91, 91, 1, 1, 1, 1, 1, 1, 1, 1, 1, 3, 10, 22, 49, 132,
+         277, 435, 665, 831, 865, 574, 209, 11, 0, 0)),
 }
 
 
@@ -492,9 +507,15 @@ def test_seed_below_the_optimum_still_reaches_it(g, solve):
 
 
 def test_seeded_solve_keeps_the_budget():
+    # out of budget the value stays open, and the seed, read in the solve's
+    # mode, is still the witness: the best ordering known
     seed = family_ordering("complete", (7,), CYCLIC)
     res = cms_exact(seed.graph, SolveBudget(max_nodes=10), seed=seed)
     assert (res.status, res.nodes_explored, res.value) == (BUDGET_EXCEEDED, 11, None)
+    assert res.witness == seed
+    res = ms_exact(seed.graph, SolveBudget(max_nodes=10), seed=seed)
+    assert (res.status, res.nodes_explored, res.value) == (BUDGET_EXCEEDED, 11, None)
+    assert res.witness == with_mode(seed, LINEAR)
 
 
 def test_seed_of_another_graph_is_rejected():
