@@ -53,7 +53,8 @@ class EdgeOrdering:
         m = self.graph.num_edges
         if m == 0:
             raise InvalidOrdering("orderings of edgeless graphs are rejected")
-        if sorted(self.sequence) != list(range(m)):
+        ids = set(self.sequence)  # m distinct ids covering 0..m-1: no sort
+        if not (len(self.sequence) == len(ids) == m and ids.issuperset(range(m))):
             raise InvalidOrdering(
                 f"sequence is not a permutation of the {m} edge ids")
 

@@ -13,43 +13,39 @@ refuted, the seed is the witness (any ordering, unseeded), so a seed at ν
 costs no search at all; out of budget, the seed stays the witness.
 
 The core places edges into positions 1..m depth-first, in one loop over m
-preallocated slots indexed by the depth p: the placed edge and the untried
-candidates of each position.  So the depth of the search is not bounded by
-Python's recursion limit, and a node appends, pops and measures nothing.
-One candidate rule, ``_window_rule``, serves the DFS and the greedy
-restarts: the next edge shares no vertex with the last d-1 placed nor, in
-cyclic mode, with the opening ones its window wraps onto.  It slides the
-AND of their compatibility bitmasks by block prefixes and suffixes (van
-Herk 1992; Gil and Werman 1993): a node costs three ANDs, plus O(d) at
-every (d-1)-th position, and a search keeps up to two m-bit masks per
-position.
+preallocated slots per position, so its depth is not bounded by Python's
+recursion limit.  One candidate rule, ``_window_rule``, serves the DFS and
+the greedy restarts: the next edge shares no vertex with the last d-1
+placed nor, in cyclic mode, with the opening ones its window wraps onto.
+Each candidate e of index i is tested before it is placed: its successors
+are ``X_i & compat[e]``, where ``X_i = free & W_i`` and W_i, the rule's AND
+of compat over the window of index i+1 minus index i, is computed once per
+entry into index i.  ``free`` may be read before e is placed: ``flip[e]``
+holds e's bit and its next twin's, and ``compat[e]`` holds neither, since e
+meets itself and a twin f meets e (f is not in ``compat[f] = compat[e]``).
+An empty mask before index m-1 is a dead end, counted but never placed, at
+the cost of one AND.  A placed node costs one call of the rule: at most
+three ANDs, plus O(d) per entry into every (d-1)-th index.
 
 Symmetry breaking has two rules, proved together in ``_tables``: cyclic
 mode pins edge id 0 to position 1, and twins, edges that share a vertex
 with exactly the same edges, are placed in ascending id (the lex-leader
 rule of Crawford, Ginsberg, Luks and Roy, KR 1996).  A twin becomes free
 only once its next-lower twin is placed, so a placement and a pop each
-flip that twin's bit in the same XOR that flips the placed edge.
+flip that twin's bit in the same XOR that flips the placed edge.  At d = 1
+the window is empty and ``compat[e]`` holds e's twins: no twin order then.
 
-The depth-first search tries candidates in ascending edge id.  Its find
-side is heavy-tailed under that fixed order (K8 linear d=3 took 759,509
-nodes), so each d's search, which counts nodes from 0, has checkpoints,
-met by one comparison per node: node 1, every 4,096th node and node
-max_nodes + 1.  Each tests the budget; each 4,096th node then runs one
-slice of a greedy-restart generator, a fresh one per d.  A slice ends once
-it has scored 1,024 candidates, and on nothing else.  Each placement scores
-at least one, so a slice places at most 1,025 edges: the first may finish
-a scan that the slice before began.  Each restart fills positions 1..m
-through the same window rule (edge 0 first in cyclic mode, twins in any
-order, since every witness is re-checked), preferring the candidate whose
-endpoints have the most unplaced edges, ties broken by a fixed-seed
-``random.Random``, so every search is deterministic.  A restart may span
-several checkpoints.  A search that ends before node 4,096 never starts
-the generator, and a refutation visits every consistent prefix whatever
-else runs, so its node count does not move.  The searches of a seeded
-solve run no slices: the greedy only looks for witnesses, and the seed is
-one.  ``nodes_explored`` and ``depth_histogram`` count DFS nodes only;
-``greedy_placements`` counts the heuristic's work.
+The DFS tries candidates in ascending edge id.  Its find side is
+heavy-tailed under that fixed order (K8 linear d=3 took 759,509 nodes), so
+each d's search, which counts nodes from 0, has checkpoints, met by one
+comparison per node: node 1, every 4,096th node and node max_nodes + 1.
+Each tests the budget; each 4,096th node then runs one slice of a fresh
+``_greedy_restarts`` per d, which ends once it has scored 1,024 candidates.
+A search that ends before node 4,096 never starts it, and a refutation
+visits every consistent prefix whatever else runs, so its node count does
+not move.  A seeded solve runs no slices: the seed is a witness already.
+``nodes_explored`` and ``depth_histogram`` count DFS nodes, dead ends
+included; ``greedy_placements``, at most 1,025 per slice, the greedy's.
 
 Nonexistence is reported only when the pruned tree has been exhausted;
 running out of budget is a distinct status, never conflated with a
@@ -130,8 +126,12 @@ def exists_ordering(g: Graph, d: int, mode: Mode,
     if mode not in (LINEAR, CYCLIC):
         raise InvalidTarget(f"bad mode {mode!r}")
     t0 = time.perf_counter()
-    res = _search(g, d, mode, _tables(g), budget.max_nodes,
-                  t0 + budget.max_seconds)
+    if d > 1:
+        tables = _tables(g)
+    else:  # no window: every edge but e may follow e, twins in any order
+        flip, full = [1 << e for e in range(m)], (1 << m) - 1
+        tables = [full ^ bit for bit in flip], flip, full
+    res = _search(g, d, mode, tables, budget.max_nodes, t0 + budget.max_seconds)
     return replace(res, elapsed_seconds=time.perf_counter() - t0)
 
 
@@ -140,37 +140,37 @@ def _search(g: Graph, d: int, mode: Mode,
             deadline: float, heuristic: bool = True) -> SolveResult:
     """Decide target d on validated input: budget_exceeded at node max_nodes
     + 1 or at the first checkpoint past ``deadline``, a perf_counter value.
-    ``tables`` is ``_tables(g)``.  The greedy restarts run at the
-    checkpoints only if ``heuristic``.  The caller times the call:
-    ``elapsed_seconds`` is left at 0."""
+    ``tables`` is ``_tables(g)``, or at d = 1 those of ``exists_ordering``.
+    The greedy restarts run at the checkpoints only if ``heuristic``.  The
+    caller times the call: ``elapsed_seconds`` is left at 0."""
     m = g.num_edges
     compat, flip, free = tables  # free: unplaced, every lower twin placed
     cyclic = mode == CYCLIC
-    push = _window_rule(m, d, cyclic, compat)
+    step = _window_rule(m, d, cyclic, compat)
+    last = m - 1
 
-    seq = [0] * m  # seq[:p] is the placed prefix
-    stack = [0] * m  # stack[i]: untried candidates of position i+1, i < p
+    # at each index i < p: the placed edge, the untried candidates and X_i
+    seq, stack, shared = [0] * m, [0] * m, [0] * m
     p = 0
-    # untried candidates of position p+1; cyclic mode pins edge 0 first
-    cand = 1 if cyclic else free
+    cand = 1 if cyclic else free  # untried at index p; cyclic pins edge 0
+    x = free  # X_p: W_0 is all ones
     hist = [0] * m
     nodes = placed = 0
     greedy = None  # started at the first checkpoint
     check_at = 1  # the next checkpoint: node 1, each stride, node max_nodes+1
 
     while cand or p:
-        if not cand:  # position exhausted: backtrack
+        if not cand:  # index p exhausted: backtrack
             p -= 1
             free ^= flip[seq[p]]
             cand = stack[p]
+            x = shared[p]
             continue
         bit = cand & -cand
-        stack[p] = cand ^ bit
+        cand ^= bit
         e = bit.bit_length() - 1
-        seq[p] = e
-        free ^= flip[e]
+        succ = x & compat[e]  # e's successors, as if e were placed
         hist[p] += 1
-        p += 1
         nodes += 1
         if nodes == check_at:
             if nodes > max_nodes or time.perf_counter() > deadline:
@@ -178,15 +178,25 @@ def _search(g: Graph, d: int, mode: Mode,
                                    greedy_placements=placed)
             check_at = min((nodes // _BUDGET_CHECK_STRIDE + 1) * _BUDGET_CHECK_STRIDE,
                            max_nodes + 1)
-            if heuristic and nodes > 1 and p < m:  # run one greedy slice
+            if heuristic and nodes > 1 and p < last:  # run one greedy slice
                 greedy = greedy or _greedy_restarts(g, d, cyclic, compat)
                 work, found = next(greedy)
                 placed += work
                 if found:
                     seq, p = found, m
-        if p == m:
+                    break
+        if not succ:
+            if p < last:
+                continue  # a dead end: counted, never placed
+            seq[p], p = e, m  # the last index: a witness
             break
-        cand = free & push(p - 1, e)
+        seq[p] = e
+        stack[p] = cand
+        shared[p] = x
+        free ^= flip[e]
+        p += 1
+        x = free & step(p - 1, e)
+        cand = succ
 
     if p < m:
         return SolveResult(NONEXISTENCE_CERTIFIED, None, None, nodes,
@@ -201,24 +211,24 @@ def _search(g: Graph, d: int, mode: Mode,
 
 
 def _window_rule(m: int, d: int, cyclic: bool, compat: list[int]):
-    """The solver's one candidate rule, as ``push(i, e) -> mask``.
+    """The solver's one candidate rule, as ``step(i, e) -> W_{i+1}``.
 
-    Call ``push(i, e)`` when edge e is placed at index i, position i+1, for
-    i < m-1; pops need no call.  It returns the mask of edges sharing no
-    vertex with the placed ones that position i+2 sees: those at indices
-    max(0, i-d+2)..i and, cyclic only, 0..i+d-m.  The caller ANDs in the
-    free edges.  Sliding-window ANDs by block prefixes and suffixes (van
-    Herk, Pattern Recogn. Lett. 13, 1992; Gil and Werman, IEEE TPAMI 15,
-    1993): in blocks of k = d-1 indices, the window i-k+1..i spans at most
-    two.  ``pre[i]`` is the AND from i's block start to i; ``suf[i+1]`` is
-    the AND of the block before from i-k+1 on, all ones where i-k+1 is a
-    block start or negative.  A block's ``suf`` entries are rebuilt, in
-    O(k), from the compat masks kept in ``at`` when the next block's first
-    index is placed.  The cyclic wrap, indices 0..w-1 with w <= d-1, is
-    ``pre[w-1]``.  So a call makes at most three ANDs for any d, plus the
-    rebuild at block starts.  Entries past index i go stale on a pop and
-    are rewritten before they are read, so nothing is undone.  Memory: up
-    to two m-bit masks per position.
+    Call ``step(i, e)`` when edge e is placed at index i < m-1; pops need no
+    call.  W_{i+1} ANDs the compat masks of the edges that index i+2 sees
+    but index i+1: indices max(0, i-d+3)..i and, cyclic only, 0..i+d+1-m.
+    So a candidate f of index i+1 has the successors ``free & W_{i+1} &
+    compat[f]``; W_0 is all ones.  Sliding-window ANDs by block prefixes and
+    suffixes (van Herk, Pattern Recogn. Lett. 13, 1992; Gil and Werman, IEEE
+    TPAMI 15, 1993): in blocks of k = d-1 indices, the window i-k+2..i is
+    ``pre[i] & suf[i+2]``, or ``suf[i+2]`` alone where i ends its block.
+    ``pre[i]`` ANDs from i's block start to i, ``suf[j+k]`` from j to its
+    block's end (all ones where j is a block start or negative), rebuilt in
+    O(k) from ``at`` when that end is placed: once per entry into a block.
+    The cyclic wrap, in block 0, is ``pre`` at min(i, i+d+1-m); at i = m-2
+    any placed mask would do, as index m-1's one candidate has no successor.
+    So a call makes at most three ANDs, plus the rebuild.  Entries past
+    index i go stale on a pop and are rewritten before they are read.
+    Memory: two m-bit masks per position.
     """
     full = (1 << m) - 1
     k = d - 1
@@ -227,52 +237,51 @@ def _window_rule(m: int, d: int, cyclic: bool, compat: list[int]):
     pre = [full] * m
     suf = [full] * (m + k)
     at = [full] * m  # at[i]: the compat mask of the edge at index i
-    reach = m - d if cyclic else m  # from i = reach on, the window wraps
+    reach = max(m - d - 1, 0) if cyclic else m  # from i = reach on, it wraps
 
-    def push(i: int, e: int) -> int:
+    def step(i: int, e: int) -> int:
         c = at[i] = compat[e]
-        if i % k:
-            pre[i] = pre[i - 1] & c
-        else:
-            pre[i] = c
-            if i:  # the block before i is complete: its suffixes
-                acc = full
-                for j in range(i - 1, i - k, -1):
-                    acc &= at[j]
-                    suf[j + k] = acc
-        if i < reach:
-            return pre[i] & suf[i + 1]
-        return pre[i] & suf[i + 1] & pre[i - reach]
+        o = i % k
+        pre[i] = pre[i - 1] & c if o else c
+        if o < k - 1:
+            w = pre[i] & suf[i + 2]
+        else:  # i ends its block: its suffixes, the last one the window
+            w = full
+            for j in range(i, i - k + 1, -1):
+                w &= at[j]
+                suf[j + k] = w
+        return w if i < reach else w & pre[i - reach]
 
-    return push
+    return step
 
 
 def _greedy_restarts(g: Graph, d: int, cyclic: bool, compat: list[int]):
     """Seeded greedy restarts towards an ordering of matching number >= d.
 
-    Runs in slices: each ``next`` resumes the restarts until they have
-    scored _GREEDY_SCANS candidates, and returns (edges placed in the
-    slice, finished sequence or None).  A placement whose scan a slice cuts
-    off resumes in the next slice, so one rule bounds a slice on sparse and
-    dense hosts alike.  Position p takes a candidate allowed by
-    ``_window_rule`` (edge 0 opens cyclic sequences) whose two endpoints
-    have the most unplaced edges, ties broken by a fixed-seed
-    ``random.Random``.  A restart with no candidate left is dropped and the
-    next one begins.  Finished sequences are not checked here; ``_search``
-    re-checks them with ``matching_number`` like any DFS witness.
+    Runs in slices: each ``next`` resumes the restarts, a cut-off scan
+    included, until they have scored _GREEDY_SCANS candidates, and returns
+    (edges placed in the slice, finished sequence or None).  Position p
+    takes a candidate allowed by ``_window_rule`` (edge 0 opens cyclic
+    sequences, twins go in any order) whose two endpoints have the most
+    unplaced edges, ties broken by a fixed-seed ``random.Random``.  A
+    restart with no candidate left is dropped and the next one begins.
+    ``_search`` re-checks finished sequences like any DFS witness.
     """
     m = g.num_edges
-    push = _window_rule(m, d, cyclic, compat)
+    step = _window_rule(m, d, cyclic, compat)
     ends = list(zip(g.us, g.vs))
     degree = degrees(g)
     rand = random.Random(_GREEDY_SEED).random
     full = (1 << m) - 1
+    if d == 1:  # no window: any free edge may follow
+        compat = [full] * m
     placed = scanned = 0
     while True:  # one restart
         left = degree[:]  # unplaced edges at each vertex
         seq: list[int] = []
         free = full
         cand = 1 if cyclic else full
+        w = full  # W of the index being filled
         while True:
             best = []  # the candidates of top score, ascending id
             top = -1
@@ -303,7 +312,8 @@ def _greedy_restarts(g: Graph, d: int, cyclic: bool, compat: list[int]):
                 yield placed, tuple(seq)
                 placed = scanned = 0
                 break
-            cand = free & push(len(seq) - 1, e)
+            cand = free & compat[e] & w
+            w = step(len(seq) - 1, e)
 
 
 def _tables(g: Graph) -> tuple[list[int], list[int], int]:
@@ -318,9 +328,8 @@ def _tables(g: Graph) -> tuple[list[int], list[int], int]:
     not the lowest of their class.  Twins are edges e != f with
     ``compat[e] == compat[f]``: every other edge meets both or neither.
     Parallel copies and the pendant edges at one vertex are twins, for
-    example.  Each ``1 << e`` is made once: the incidence masks are ORed
-    from them, and the same list becomes ``flip``, so only a twin with a
-    higher twin gets a new int.
+    example.  Each ``1 << e`` is made once, for ``flip`` and the incidence
+    masks alike.
 
     Why the search may place each class in ascending id: the value of an
     ordering depends only on which positions hold edges that meet, and

@@ -261,6 +261,11 @@ def test_ordering_must_be_permutation():
         EdgeOrdering(g, (0, 0, 1), LINEAR)
     with pytest.raises(InvalidOrdering):
         EdgeOrdering(g, (0, 1), LINEAR)
+    # a duplicate, out of range, negative, short, long and non-integer ids
+    for seq in [(0, 1, 1), (0, 1, 3), (-1, 0, 1), (2, 1), (0, 1, 2, 0),
+                (0, 1.5, 2), ()]:
+        with pytest.raises(InvalidOrdering, match="not a permutation of the 3"):
+            EdgeOrdering(g, seq, CYCLIC)
 
 
 def test_edgeless_graph_rejected():

@@ -366,23 +366,56 @@ def _seeded_multigraph() -> Graph:
 def test_window_rule_matches_its_definition(g, mode):
     # random pushes and pops over every d, d = 1 and d = m included: each
     # round pops to a depth, below block starts, and refills over the
-    # entries the popped positions left behind
+    # entries the popped positions left behind.  Each placement's
+    # successors, read before it from W as the DFS reads them, must be the
+    # candidates by definition after it, twin order included
     m = g.num_edges
     cyclic = mode == CYCLIC
-    compat = _tables(g)[0]
+    full = (1 << m) - 1
     rng = random.Random(m)
+    tables = _tables(g)
     for d in range(1, m + 1):
-        push = _window_rule(m, d, cyclic, compat)
-        seq, free = [], (1 << m) - 1
+        if d > 1:
+            compat, flip, start = tables
+        else:  # the tables exists_ordering builds at d = 1
+            flip = [1 << e for e in range(m)]
+            compat, start = [full ^ bit for bit in flip], full
+        step = _window_rule(m, d, cyclic, compat)
+        seq, free, ws = [], start, [full]  # ws[i]: W_i
         for depth in [0, 0] + [rng.randrange(m - 1) for _ in range(4)]:
             while len(seq) > depth:
-                free |= 1 << seq.pop()
+                free ^= flip[seq.pop()]
+                ws.pop()
             while len(seq) < m - 1:
+                i = len(seq)
                 e = rng.choice([e for e in range(m) if free >> e & 1])
+                succ = free & ws[i] & compat[e]
                 seq.append(e)
-                free ^= 1 << e
-                assert free & push(len(seq) - 1, e) == _window_by_definition(
+                free ^= flip[e]
+                assert succ == _window_by_definition(
                     seq, free, d, m, cyclic, compat), (d, seq)
+                ws.append(step(i, e))
+
+
+@pytest.mark.parametrize("g,placements", [
+    (path(2), (0, 0)),
+    (multiply(complete(4), 2), (0, 0)),
+    (complete_bipartite(3, 4), (0, 0)),
+    (path(5000), (0, 1)),  # 4,999 edges: one greedy slice, at node 4,096
+], ids=["P2", "2K4", "K3_4", "P5000"])
+def test_d1_takes_the_first_descent(g, placements):
+    # no window: every edge but e may follow e, twins (2K4's parallel
+    # copies) unordered, so the first descent 0..m-1 is the witness
+    m = g.num_edges
+    for mode, want in zip((LINEAR, CYCLIC), placements):
+        res = exists_ordering(g, 1, mode)
+        assert (res.status, res.nodes_explored, res.greedy_placements) == \
+            (VALUE_FOUND, m, want)
+        assert res.witness.sequence == tuple(range(m))
+        assert res.depth_histogram == (1,) * m
+        res = exists_ordering(g, 1, mode, SolveBudget(max_nodes=5))
+        assert (res.status, res.nodes_explored) == \
+            ((BUDGET_EXCEEDED, 6) if m > 5 else (VALUE_FOUND, m))
 
 
 def test_greedy_slice_stops_at_the_scan_limit():
