@@ -91,14 +91,17 @@ class RotationScheme:
         return len(self.base)
 
     def ordering(self, g: Graph, mode: Mode) -> EdgeOrdering:
-        index = g._pair_index
+        n, index = g.order, g._pair_index
         listed = [0] * g.num_edges  # listings so far, by the pair's first-copy id
         rotation = self.rotation
         seq = []
         block = self.base
         for _ in range(self.block_count):
             for a, b in block:
-                ids = index.get((a, b) if a < b else (b, a))
+                # Graph.edge_ids_between, inlined for speed: the range check comes
+                # first because the int key aliases out-of-range pairs
+                ids = (index.get(a * n + b if a < b else b * n + a)
+                       if 0 <= a < n and 0 <= b < n else None)
                 if not ids:
                     raise ValueError(f"no edge {{{a},{b}}} in graph")
                 j = listed[ids[0]]

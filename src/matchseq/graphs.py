@@ -19,6 +19,16 @@ Constructing a :class:`Graph` validates it; a graph is accepted iff
 
 A rejected graph raises ``ValueError`` naming its first faulty edge in id
 order (the first edge whose id, endpoints or pair breaks a rule above).
+The builders whose pairs are distinct by construction (``complete``,
+``complete_bipartite``, ``cycle``, ``path``, ``circulant3``) skip only the
+duplicate rule; every graph from outside runs all of them.
+
+A vertex pair ``u < v`` is keyed by the int ``u * order + v``
+(:func:`_pair_keys`): the duplicate rule counts these keys, and
+:meth:`Graph.edge_ids_between`, the ordering reader and the rotation
+schemes look edges up by them.  The key is one-to-one only on pairs inside
+``[0, order)``: on K_5, ``0*5 + 8 == 1*5 + 3``, so a pair is range-checked
+before it is keyed, and a pair outside the range is no edge.
 
 Edge-list text format: a header line, then one line per edge with 0-based
 endpoints; the edge id is the line order, and ``#`` starts a comment only
@@ -34,7 +44,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count, repeat
-from operator import eq, lt
+from operator import add, eq, lt, mul
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import FormatError, InvalidFamilyParams, InvalidVertex
@@ -66,9 +76,11 @@ class Graph:
         self._fill(order, us, vs, allow_parallel, ids)
 
     def _fill(self, order: int, us: tuple[int, ...], vs: tuple[int, ...],
-              allow_parallel: bool, ids: tuple[int, ...] | None = None) -> None:
+              allow_parallel: bool, ids: tuple[int, ...] | None = None,
+              distinct: bool = False) -> None:
         """Set the fields and validate them, with the ids the edges were
-        given with, if any."""
+        given with, if any.  ``distinct`` skips the duplicate-pair rule, for
+        builders whose pairs are distinct by construction."""
         put = object.__setattr__
         put(self, "order", order)
         put(self, "us", us)
@@ -78,11 +90,11 @@ class Graph:
             raise ValueError(f"graph order must be >= 1, got {order}")
         # Each rule as one pass over the columns; only a graph that breaks
         # one runs the per-edge loop, which names the first faulty edge.
-        # For valid endpoints, u * order + v is one int per vertex pair.
+        # The pair keys are counted only once the endpoints are in range.
         if us and not ((ids is None or all(map(eq, ids, count())))
                        and all(map(lt, us, vs)) and min(us) >= 0 and max(vs) < order
-                       and (allow_parallel
-                            or len({u * order + v for u, v in zip(us, vs)}) == len(us))):
+                       and (allow_parallel or distinct
+                            or len(set(_pair_keys(order, us, vs))) == len(us))):
             self._raise_first_fault(ids)
 
     def _raise_first_fault(self, ids: tuple[int, ...] | None):
@@ -110,26 +122,48 @@ class Graph:
         return len(self.us)
 
     @cached_property
-    def _pair_index(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        """``(u, v)`` with ``u < v`` -> ids of the edges joining u and v,
-        ascending."""
-        index: dict[tuple[int, int], tuple[int, ...]] = {}
+    def _pair_index(self) -> dict[int, tuple[int, ...]]:
+        """Pair key ``u * order + v`` -> ids of the edges joining u < v,
+        ascending.
+
+        The key aliases pairs outside ``[0, order)`` onto edges (on K_5,
+        ``0*5 + 8 == 1*5 + 3``), so every reader checks ``0 <= u`` and
+        ``v < order`` before it forms one.  A simple graph has one id per
+        key, so its one-tuples come from C-level maps with no Python loop.
+        """
+        keys = _pair_keys(self.order, self.us, self.vs)
+        if not self.allow_parallel:
+            return dict(zip(keys, zip(count())))
+        index: dict[int, tuple[int, ...]] = {}
         get = index.get
-        for i, u, v in zip(count(), self.us, self.vs):
-            index[u, v] = get((u, v), ()) + (i,)
+        for i, key in enumerate(keys):
+            index[key] = get(key, ()) + (i,)
         return index
 
     def edge_ids_between(self, a: int, b: int) -> tuple[int, ...]:
-        """Ids of all edges with endpoints {a, b} (several when parallel)."""
-        return self._pair_index.get((a, b) if a < b else (b, a), ())
+        """Ids of all edges with endpoints {a, b} (several when parallel);
+        ``()`` when either endpoint lies outside ``[0, order)``."""
+        n = self.order
+        if a > b:
+            a, b = b, a
+        if a < 0 or b >= n:
+            return ()
+        return self._pair_index.get(a * n + b, ())
+
+
+def _pair_keys(order: int, us: Iterable[int], vs: Iterable[int]) -> Iterator[int]:
+    """The key ``u * order + v`` of each pair ``u < v``; one-to-one on pairs
+    with both endpoints in ``[0, order)``."""
+    return map(add, map(mul, us, repeat(order)), vs)
 
 
 def _from_columns(order: int, us: tuple[int, ...], vs: tuple[int, ...],
-                  allow_parallel: bool = False) -> Graph:
+                  allow_parallel: bool = False, *, distinct: bool = False) -> Graph:
     """The graph with edge i joining ``us[i] < vs[i]``, validated like
-    ``Graph(order, edges)``."""
+    ``Graph(order, edges)``.  ``distinct`` skips only the duplicate-pair
+    rule; a builder passes it when its docstring shows its pairs distinct."""
     g = object.__new__(Graph)
-    g._fill(order, us, vs, allow_parallel)
+    g._fill(order, us, vs, allow_parallel, distinct=distinct)
     return g
 
 
@@ -141,37 +175,51 @@ def _graph_from_pairs(order: int, pairs: Iterable[tuple[int, int]],
 
 
 def complete(n: int) -> Graph:
-    """K_n with lexicographic edge ids: (0,1), (0,2), ..., (n-2,n-1)."""
+    """K_n with lexicographic edge ids: (0,1), (0,2), ..., (n-2,n-1).
+
+    The pairs are distinct: they are listed in strictly increasing
+    lexicographic order, u ascending and v ascending within each u.
+    """
     if n < 1:
         raise InvalidFamilyParams(f"complete requires n >= 1, got {n}")
     verts = tuple(range(n))  # u repeated n-1-u times, each next to u+1..n-1
     return _from_columns(n, tuple(chain.from_iterable(map(repeat, verts, verts[::-1]))),
-                         tuple(chain.from_iterable(verts[u + 1:] for u in verts)))
+                         tuple(chain.from_iterable(verts[u + 1:] for u in verts)),
+                         distinct=True)
 
 
 def complete_bipartite(p: int, q: int) -> Graph:
-    """K_{p,q}: left vertices 0..p-1, right p..p+q-1, ids row-major."""
+    """K_{p,q}: left vertices 0..p-1, right p..p+q-1, ids row-major.
+
+    The pairs are distinct: row u lists each column p..p+q-1 once, and
+    edges of different rows differ in u.
+    """
     if p < 1 or q < 1:
         raise InvalidFamilyParams(f"complete_bipartite requires p,q >= 1, got ({p},{q})")
     # row i repeated q times, each next to the columns p..p+q-1
     return _from_columns(p + q, tuple(chain.from_iterable(map(repeat, range(p), repeat(q, p)))),
-                         tuple(range(p, p + q)) * p)
+                         tuple(range(p, p + q)) * p, distinct=True)
 
 
 def cycle(n: int) -> Graph:
-    """C_n with edge e_i = {i, (i+1) mod n} and id i."""
+    """C_n with edge e_i = {i, (i+1) mod n} and id i.
+
+    The pairs are distinct: e_0..e_{n-2} have distinct u = i, and the
+    closing pair (0, n-1) differs from e_0 = (0, 1) because n >= 3.
+    """
     if n < 3:
         raise InvalidFamilyParams(f"cycle requires n >= 3, got {n}")
     verts = tuple(range(n))  # e_{n-1} = {n-1, 0} is stored as (0, n-1)
-    return _from_columns(n, verts[:-1] + verts[:1], verts[1:] + verts[-1:])
+    return _from_columns(n, verts[:-1] + verts[:1], verts[1:] + verts[-1:], distinct=True)
 
 
 def path(n: int) -> Graph:
-    """P_n with edge e_i = {i, i+1}."""
+    """P_n with edge e_i = {i, i+1}; the pairs are distinct, since their
+    u = i are."""
     if n < 2:
         raise InvalidFamilyParams(f"path requires n >= 2, got {n}")
     verts = tuple(range(n))
-    return _from_columns(n, verts[:-1], verts[1:])
+    return _from_columns(n, verts[:-1], verts[1:], distinct=True)
 
 
 def circulant3(n: int) -> Graph:
@@ -179,14 +227,16 @@ def circulant3(n: int) -> Graph:
 
     Row vertex i is joined to column vertices i-1, i, i+1 (mod n, offset by
     n).  Edge ids run row-major in that listed column order.  For n = 3 the
-    edge set coincides with K_{3,3}.
+    edge set coincides with K_{3,3}.  The pairs are distinct: edges of
+    different rows differ in u, and i-1, i, i+1 are three distinct residues
+    mod n because n >= 3.
     """
     if n < 3:
         raise InvalidFamilyParams(f"circulant3 requires n >= 3, got {n}")
     cols = tuple(range(n, 2 * n))
     vs = chain.from_iterable((cols[i - 1], cols[i], cols[(i + 1) % n]) for i in range(n))
     return _from_columns(2 * n, tuple(chain.from_iterable(map(repeat, range(n), repeat(3, n)))),
-                         tuple(vs))
+                         tuple(vs), distinct=True)
 
 
 def multiply(g: Graph, k: int) -> Graph:
@@ -374,7 +424,8 @@ def write_edge_list(g: Graph) -> str:
     header = f"{g.order} {g.num_edges}"
     if g.allow_parallel:
         header += " multi"
-    lines = [header] + [f"{u} {v}" for u, v in zip(g.us, g.vs)]
+    names = list(map(str, range(g.order)))  # each vertex formatted once
+    lines = [header] + [f"{names[u]} {names[v]}" for u, v in zip(g.us, g.vs)]
     return "\n".join(lines) + "\n"
 
 

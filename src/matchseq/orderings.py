@@ -204,7 +204,8 @@ def write_ordering(o: EdgeOrdering) -> str:
         tokens = [_edge_token(o, eid) for eid in o.sequence]
     else:  # every pair is a single edge: the token is plain "u-v"
         us, vs = o.graph.us, o.graph.vs
-        tokens = [f"{us[eid]}-{vs[eid]}" for eid in o.sequence]
+        names = list(map(str, range(o.graph.order)))  # each vertex formatted once
+        tokens = [f"{names[us[eid]]}-{names[vs[eid]]}" for eid in o.sequence]
     return " ".join(tokens) + "\n"
 
 
@@ -213,7 +214,7 @@ def read_ordering(text: str, g: Graph, mode: Mode) -> EdgeOrdering:
     if len(tokens) != g.num_edges:
         raise FormatError(
             f"expected {g.num_edges} ordering tokens, found {len(tokens)}", 1)
-    index = g._pair_index
+    n, index = g.order, g._pair_index
     seq = []
     for k, token in enumerate(tokens):
         body, _, copy = token.partition("#")
@@ -223,7 +224,10 @@ def read_ordering(text: str, g: Graph, mode: Mode) -> EdgeOrdering:
             j = int(copy) if copy else 0
         except ValueError:
             raise FormatError(f"bad ordering token {token!r} (index {k})", 1) from None
-        ids = index.get((u, v) if u < v else (v, u))
+        # Graph.edge_ids_between, inlined for speed: the range check comes
+        # first because the int key aliases out-of-range pairs
+        ids = (index.get(u * n + v if u < v else v * n + u)
+               if 0 <= u < n and 0 <= v < n else None)
         if not ids:
             raise FormatError(f"token {token!r}: no edge {{{u},{v}}} in graph", 1)
         if not (0 <= j < len(ids)):

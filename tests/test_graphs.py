@@ -399,6 +399,8 @@ def _shuffled_multigraph_text(rng: random.Random) -> str:
 
 
 def test_pair_index_agrees_with_reference_on_multigraphs():
+    """edge_ids_between matches a tuple-keyed reference on every vertex
+    pair in both orientations, non-edges included."""
     rng = random.Random(77)
     hosts = [multiply(complete(5), 3), multiply(path(4), 2),
              attach_pendants(multiply(cycle(4), 2), 0, 3),
@@ -406,8 +408,8 @@ def test_pair_index_agrees_with_reference_on_multigraphs():
     hosts += [read_edge_list(_shuffled_multigraph_text(rng)) for _ in range(40)]
     for g in hosts:
         want = _reference_pair_index(g)
-        assert g._pair_index == want
-        for (u, v), ids in want.items():
+        for u, v in itertools.combinations(range(g.order), 2):
+            ids = want.get((u, v), ())
             assert list(ids) == sorted(ids)  # copies in id order
             assert g.edge_ids_between(u, v) == g.edge_ids_between(v, u) == ids
         assert g.edge_ids_between(0, g.order) == ()
