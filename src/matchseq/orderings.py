@@ -191,22 +191,16 @@ def random_ordering(g: Graph, mode: Mode, rng: random.Random) -> EdgeOrdering:
 # ---------------------------------------------------------------------------
 # ordering file format
 
-def _edge_token(o: EdgeOrdering, eid: int) -> str:
-    u, v = o.graph.us[eid], o.graph.vs[eid]
-    siblings = o.graph.edge_ids_between(u, v)
-    if len(siblings) == 1:
-        return f"{u}-{v}"
-    return f"{u}-{v}#{siblings.index(eid)}"
-
-
 def write_ordering(o: EdgeOrdering) -> str:
-    if o.graph.allow_parallel:
-        tokens = [_edge_token(o, eid) for eid in o.sequence]
-    else:  # every pair is a single edge: the token is plain "u-v"
-        us, vs = o.graph.us, o.graph.vs
-        names = list(map(str, range(o.graph.order)))  # each vertex formatted once
-        tokens = [f"{names[us[eid]]}-{names[vs[eid]]}" for eid in o.sequence]
-    return " ".join(tokens) + "\n"
+    g = o.graph
+    names = list(map(str, range(g.order)))  # each vertex formatted once
+    tokens = [f"{names[u]}-{names[v]}" for u, v in zip(g.us, g.vs)]  # by edge id
+    if g.allow_parallel:  # copy j of a pair, in id order, is "u-v#j"
+        for ids in g._pair_index.values():
+            if len(ids) > 1:
+                for j, eid in enumerate(ids):
+                    tokens[eid] += f"#{j}"
+    return " ".join(map(tokens.__getitem__, o.sequence)) + "\n"
 
 
 def read_ordering(text: str, g: Graph, mode: Mode) -> EdgeOrdering:

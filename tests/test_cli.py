@@ -293,7 +293,7 @@ def test_solve_seeded_with_an_ordering(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert (payload["status"], payload["value"], payload["nodes"],
-            payload["greedy_placements"]) == ("value_found", 3, 196, 0)
+            payload["greedy_placements"]) == ("value_found", 3, 4, 0)
     assert payload["witness"] == ordering.read_text().strip()
 
 
@@ -375,11 +375,11 @@ def test_verify_unresolved_rows_exit3(capsys, tmp_path, monkeypatch):
                            "--exact-up-to-edges", "16", "--json-out", str(json_out))
     assert code == 3
     assert "all pass" not in out
-    assert "8 UNRESOLVED" in out and " UNRES " in out
+    assert "3 UNRESOLVED" in out and " UNRES " in out
     payload = json.loads(json_out.read_text())
     assert payload["all_pass"] is False
     statuses = [r["status"] for r in payload["rows"]]
-    assert statuses.count("unresolved") == 8
+    assert statuses.count("unresolved") == 3
     assert set(statuses) == {"pass", "unresolved"}
 
 

@@ -117,8 +117,9 @@ def test_hot_paths_do_not_read_edges(monkeypatch):
         assert read_edge_list(write_edge_list(g)) == g
         assert read_ordering(write_ordering(o), g, o.mode).sequence == o.sequence
     assert max_matching_size(complete(6)) == 3
-    compat, flip, start = _tables(multiply(complete(4), 2))
-    assert len(compat) == len(flip) == 12
+    compat, flip, start, pin = _tables(multiply(complete(4), 2))
+    assert len(compat) == len(flip) == 12 and pin == ()
+    assert _tables(complete(6))[3] == (0, 9, 14)
     placed, found = next(_greedy_restarts(complete(5), 2, False, _tables(complete(5))[0]))
     assert placed and found is not None
     assert ms_exact(complete(5)).value == 2

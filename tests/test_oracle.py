@@ -5,10 +5,14 @@ matching (cyclically in cyclic mode): equivalently, every two positions
 closer than d hold disjoint edges.  The oracle searches orderings depth
 first over edge ids with plain sets, and shares no code with the solver:
 no bitmasks, candidate windows, compat masks, matching bound or greedy.
-Its one optional rule, the solver's twin order, is stated from sets of
-edges; ``_oracle_value`` runs without it, so value agreement tests the
-rule's soundness and the node-for-node replays test its statement.
+Its two optional rules, the solver's twin order and its pinned first
+window, are stated from sets of edges; ``_oracle_value`` runs without
+them, so value agreement tests the rules' soundness and the node-for-node
+replays test their statement.
 """
+
+import itertools
+import random
 
 import pytest
 
@@ -18,16 +22,41 @@ from matchseq import (CYCLIC, LINEAR, attach_pendants, circulant3, cms_exact,
 from matchseq.catalog import _canonical_edge_subsets, verify_families
 from matchseq.constructions import family_ordering
 from matchseq.graphs import _graph_from_pairs
-from matchseq.solver import NONEXISTENCE_CERTIFIED, VALUE_FOUND
+from matchseq.solver import NONEXISTENCE_CERTIFIED, VALUE_FOUND, _first_window
 
 
-def _oracle_search(g, d, mode, twins=False):
+def _window_from_sets(ends):
+    """The matching the pin rule places first, from sets: if the edges are
+    those of K_s (s >= 4) or K_{A,B} (|A|, |B| >= 2) on the vertices they
+    touch, every edge in id order that meets none taken before; else []."""
+    support = set().union(*ends)
+    pairs = {frozenset(e) for e in ends}
+    if len(pairs) < len(ends):  # parallel copies
+        return []
+    every_pair = {frozenset(p) for p in itertools.combinations(support, 2)}
+    if not (len(support) >= 4 and pairs == every_pair):  # not K_s; K_{A,B}?
+        low = min(support)  # A: the lowest vertex and the vertices it misses
+        side = support - set().union(*(e for e in ends if low in e)) | {low}
+        if not (2 <= len(side) <= len(support) - 2 and pairs == {
+                frozenset((a, b)) for a in side for b in support - side}):
+            return []
+    taken, window = set(), []
+    for e, ends_e in enumerate(ends):
+        if taken.isdisjoint(ends_e):
+            taken |= ends_e
+            window.append(e)
+    return window
+
+
+def _oracle_search(g, d, mode, twins=False, pin=False):
     """(found, placements) of a DFS for an ordering of value >= d.
 
     Candidates are tried in ascending edge id, and cyclic mode puts edge 0
     first.  With ``twins``, an edge is skipped while a lower-id edge that
-    meets the same set of edges is unused, so a refutation visits the
-    prefixes the solver visits.
+    meets the same set of edges is unused.  With ``pin`` and d >= 2,
+    positions 1..min(d, |M|) hold M = ``_window_from_sets`` in order, on the
+    hosts that have one.  With both, a refutation visits the prefixes the
+    solver visits.
     """
     ends = [{e.u, e.v} for e in g.edges]
     m = len(ends)
@@ -37,6 +66,9 @@ def _oracle_search(g, d, mode, twins=False):
     if twins:
         meets = [{f for f in range(m) if ends[f] & ends[e]} for e in range(m)]
         lower_twins = [[f for f in range(e) if meets[f] == meets[e]] for e in range(m)]
+    prefix = [0] if cyclic else []
+    if pin and d >= 2:
+        prefix = _window_from_sets(ends)[:d] or prefix
 
     def close(i, j):
         return j - i < d or (cyclic and m - (j - i) < d)
@@ -47,7 +79,7 @@ def _oracle_search(g, d, mode, twins=False):
             return True
         # the vertices of the placed edges closer than d to position j
         near = set().union(*(ends[f] for i, f in enumerate(order) if close(i, j)))
-        for e in ([0] if cyclic and j == 0 else range(m)):
+        for e in (prefix[j:j + 1] if j < len(prefix) else range(m)):
             if e in used or not ends[e].isdisjoint(near):
                 continue
             if any(f not in used for f in lower_twins[e]):
@@ -71,12 +103,19 @@ def _oracle_value(g, mode):
 
 
 def test_solver_values_match_the_oracle_on_all_6_vertex_classes():
+    # the pinned classes are K4, K5, K6, K2,2, K2,3, K2,4 and K3,3, most of
+    # them with isolated vertices and labels no builder gives
     classes = list(_canonical_edge_subsets(6))
     assert len(classes) == 155
+    pinned = 0
     for pairs in classes:
         g = _graph_from_pairs(6, pairs)
+        window = _window_from_sets([{e.u, e.v} for e in g.edges])
+        assert _first_window(g) == tuple(window), pairs
+        pinned += bool(window)
         assert ms_exact(g).value == _oracle_value(g, LINEAR), pairs
         assert cms_exact(g).value == _oracle_value(g, CYCLIC), pairs
+    assert pinned == 7
 
 
 @pytest.mark.parametrize("g", [
@@ -88,11 +127,43 @@ def test_solver_values_match_the_oracle_on_multigraphs(g, mode, exact):
     assert exact(g).value == _oracle_value(g, mode)
 
 
+def _relabelled(g, seed):
+    """g with its vertices sent to random labels among two more, which stay
+    isolated, and its edge ids shuffled."""
+    rng = random.Random(seed)
+    names = rng.sample(range(g.order + 2), g.order)
+    pairs = [(names[e.u], names[e.v]) for e in g.edges]
+    rng.shuffle(pairs)
+    return _graph_from_pairs(g.order + 2, pairs)
+
+
+@pytest.mark.parametrize("g,value", [
+    (complete(6), (2, 2)), (complete_bipartite(3, 4), (3, 3)),
+    (complete_bipartite(4, 4), (3, 3)),
+], ids=["K6", "K3_4", "K4_4"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("mode,exact", [(LINEAR, ms_exact), (CYCLIC, cms_exact)])
+def test_relabelled_hosts_pin_their_first_window(g, value, seed, mode, exact):
+    # the rule reads the host from its edges, not from a builder's labels:
+    # the rule-free oracle agrees on the value, and every refutation from
+    # nu down and the find at the value replay with the pinned oracle
+    h = _relabelled(g, seed)
+    want = value[mode == CYCLIC]
+    assert len(_window_from_sets([{e.u, e.v} for e in h.edges])) == max_matching_size(h)
+    assert exact(h).value == _oracle_value(h, mode) == want
+    for d in range(max_matching_size(h), want - 1, -1):
+        res = exists_ordering(h, d, mode)
+        assert res.status == (VALUE_FOUND if d == want else NONEXISTENCE_CERTIFIED)
+        assert _oracle_search(h, d, mode, twins=True, pin=True) == (
+            d == want, res.nodes_explored), d
+
+
 @pytest.mark.parametrize("g,d,mode,nodes", [
-    (complete(5), 2, CYCLIC, 250),
+    # first window pinned (rule-free trees: 250 and 39,341)
+    (complete(5), 2, CYCLIC, 84),
     (cycle(9), 5, CYCLIC, 51),
     (circulant3(6), 6, CYCLIC, 2_652),
-    (complete(7), 3, CYCLIC, 39_341),
+    (complete(7), 3, CYCLIC, 1_313),
     (path(8), 4, LINEAR, 121),
     # twins, placed in ascending id (rule-free trees: 13,368, 557, 73, 84, 50)
     (multiply(complete(4), 4), 2, LINEAR, 48),
@@ -106,19 +177,19 @@ def test_refutations_replay_node_for_node(g, d, mode, nodes):
     res = exists_ordering(g, d, mode)
     assert res.status == NONEXISTENCE_CERTIFIED
     assert res.nodes_explored == nodes
-    assert _oracle_search(g, d, mode, twins=True) == (False, nodes)
+    assert _oracle_search(g, d, mode, twins=True, pin=True) == (False, nodes)
     assert not _oracle_search(g, d, mode)[0]  # the rule-free tree refutes too
 
 
 @pytest.mark.parametrize("g,d,mode,found,nodes", [
-    (complete_bipartite(5, 5), 5, LINEAR, False, 32_825),
+    (complete_bipartite(5, 5), 5, LINEAR, False, 5),
     (complete_bipartite(5, 5), 4, LINEAR, True, 2_771),
     (circulant3(6), 6, LINEAR, False, 49_788),
     (circulant3(6), 5, LINEAR, True, 18),
-    (complete_bipartite(5, 5), 5, CYCLIC, False, 1_313),
+    (complete_bipartite(5, 5), 5, CYCLIC, False, 5),
     (complete_bipartite(5, 5), 4, CYCLIC, True, 3_563),
-    (complete(8), 4, LINEAR, False, 5_488),
-    (complete(8), 4, CYCLIC, False, 196),
+    (complete(8), 4, LINEAR, False, 4),
+    (complete(8), 4, CYCLIC, False, 4),
 ], ids=["ms-K5_5-d5", "ms-K5_5-d4", "ms-circulant3_6-d6", "ms-circulant3_6-d5",
         "cms-K5_5-d5", "cms-K5_5-d4", "ms-K8-d4", "cms-K8-d4"])
 def test_pinned_solve_phases_replay_node_for_node(g, d, mode, found, nodes):
@@ -127,7 +198,7 @@ def test_pinned_solve_phases_replay_node_for_node(g, d, mode, found, nodes):
     # before its first greedy slice (K8's finds come from the greedy)
     res = exists_ordering(g, d, mode)
     assert (res.status == VALUE_FOUND, res.nodes_explored) == (found, nodes)
-    assert _oracle_search(g, d, mode, twins=True) == (found, nodes)
+    assert _oracle_search(g, d, mode, twins=True, pin=True) == (found, nodes)
 
 
 def test_verify_cross_checks_replay_node_for_node():
@@ -144,10 +215,10 @@ def test_verify_cross_checks_replay_node_for_node():
             res = exists_ordering(g, d, row.mode)
             found = res.status == VALUE_FOUND
             assert found == (d == row.exact), (row.case, d)
-            assert _oracle_search(g, d, row.mode, twins=True) == (
+            assert _oracle_search(g, d, row.mode, twins=True, pin=True) == (
                 found, res.nodes_explored), (row.case, d)
             if not found:
                 replayed += res.nodes_explored
                 refutations += 1
         assert replayed == row.nodes, row.case
-    assert (len(rows), refutations, sum(r.nodes for r in rows)) == (84, 36, 22_343)
+    assert (len(rows), refutations, sum(r.nodes for r in rows)) == (84, 36, 21_987)

@@ -7,14 +7,24 @@ from hypothesis import strategies as st
 
 from matchseq import (CYCLIC, LINEAR, EdgeOrdering, FamilySpec,
                       biadjacency_layout, cms_complete_odd, complete,
-                      complete_bipartite, cycle, degrees, is_matching,
-                      matching_number, matching_number_bruteforce, multiply,
+                      complete_bipartite, cycle, degrees, family_ordering,
+                      is_matching, matching_number, matching_number_bruteforce, multiply,
                       parse_biadjacency, path, random_ordering, read_ordering,
                       reflect, render_biadjacency, rotate, with_mode,
                       write_ordering)
 from matchseq.errors import (FormatError, InvalidEdgeId, InvalidOrdering)
 from matchseq.graphs import Edge, Graph, _graph_from_pairs
-from matchseq.orderings import MODES, MatchingNumberReport, _edge_token
+from matchseq.orderings import MODES, MatchingNumberReport
+
+
+def _edge_token(o, eid):
+    """One ordering token by itself, as the writer once made each: the
+    pair's ids looked up, and the copy index found by a scan of them."""
+    u, v = o.graph.us[eid], o.graph.vs[eid]
+    siblings = o.graph.edge_ids_between(u, v)
+    if len(siblings) == 1:
+        return f"{u}-{v}"
+    return f"{u}-{v}#{siblings.index(eid)}"
 
 
 def _k44_paper_ordering(fixtures_dir, mode=LINEAR):
@@ -325,6 +335,21 @@ def test_simple_graph_tokens_match_edge_token(o):
     for eid, token in zip(o.sequence, text.split()):
         e = o.graph.edges[eid]
         assert token == f"{e.u}-{e.v}"
+
+
+@pytest.mark.parametrize("o", [
+    family_ordering("doubled_complete", (101,), CYCLIC),
+    random_ordering(multiply(complete(101), 2), LINEAR, random.Random(101)),
+    random_ordering(multiply(complete(5), 3), CYCLIC, random.Random(5)),
+    random_ordering(_graph_from_pairs(4, [(0, 1), (1, 2), (0, 1), (2, 3), (0, 1)],
+                                      allow_parallel=True), LINEAR, random.Random(4)),
+], ids=["2K101-construction", "2K101-random", "3K5-random", "mixed-copies"])
+def test_multigraph_tokens_match_edge_token(o):
+    # copy indices are computed once per pair in id order; single pairs of a
+    # multigraph keep the plain "u-v"
+    text = write_ordering(o)
+    assert text == " ".join(_edge_token(o, eid) for eid in o.sequence) + "\n"
+    assert read_ordering(text, o.graph, o.mode) == o
 
 
 @pytest.mark.parametrize("text", [

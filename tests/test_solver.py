@@ -14,7 +14,8 @@ from matchseq.catalog import _canonical_edge_subsets
 from matchseq.constructions import family_ordering
 from matchseq.errors import InvalidOrdering, InvalidTarget
 from matchseq.graphs import Graph, _graph_from_pairs
-from matchseq.solver import _GREEDY_SCANS, _greedy_restarts, _tables, _window_rule
+from matchseq.solver import (_GREEDY_SCANS, _first_window, _greedy_restarts, _tables,
+                             _window_rule)
 
 
 def test_k5_cyclic_d2_nonexistence():
@@ -103,7 +104,7 @@ def test_cyclic_symmetry_breaking_in_witness():
 
 
 def test_budget_exceeded_by_nodes():
-    res = exists_ordering(complete(6), 3, CYCLIC, SolveBudget(max_nodes=5))
+    res = exists_ordering(circulant3(6), 6, LINEAR, SolveBudget(max_nodes=5))
     assert res.status == BUDGET_EXCEEDED
     assert res.nodes_explored >= 5
 
@@ -114,7 +115,7 @@ def test_budget_exceeded_by_time():
 
 
 def test_budget_propagates_with_bracket():
-    # enough budget to refute d=3 on K_7 (~40k nodes); either d=2 is then
+    # enough budget to refute d=3 on K_7 (1,313 nodes); either d=2 is then
     # found within the leftovers or the bracket from the refutation survives
     res = cms_exact(complete(7), SolveBudget(max_nodes=40_000))
     if res.status == VALUE_FOUND:
@@ -125,27 +126,27 @@ def test_budget_propagates_with_bracket():
 
 
 def test_exact_node_budget_is_a_total_cap():
-    # d=3 is refuted in exactly 39,341 nodes; d=2 gets the 0 nodes left and
+    # d=6 is refuted in exactly 49,788 nodes; d=5 gets the 0 nodes left and
     # stops at its first node, so the total is max_nodes + 1
-    res = cms_exact(complete(7), SolveBudget(max_nodes=39_341))
+    res = ms_exact(circulant3(6), SolveBudget(max_nodes=49_788))
     assert res.status == BUDGET_EXCEEDED
-    assert res.nodes_explored == 39_342
-    assert res.certified_upper == 3
+    assert res.nodes_explored == 49_789
+    assert res.certified_upper == 6
     assert sum(res.depth_histogram) == res.nodes_explored
-    res = exists_ordering(complete(6), 3, CYCLIC, SolveBudget(max_nodes=5))
+    res = exists_ordering(circulant3(6), 6, LINEAR, SolveBudget(max_nodes=5))
     assert (res.status, res.nodes_explored) == (BUDGET_EXCEEDED, 6)
 
 
 @pytest.mark.parametrize("max_nodes,nodes,placements", [
     (4_095, 4_096, 0),
-    (4_096, 4_097, 477),
-    (8_191, 8_192, 477),
-    (8_192, 8_193, 936),
+    (4_096, 4_097, 116),
+    (8_191, 8_192, 116),
+    (8_192, 8_193, 235),
 ])
 def test_checkpoint_schedule_at_the_budget_boundary(max_nodes, nodes, placements):
     # checkpoints fall on node 1, every 4,096th node and node max_nodes + 1;
     # each 4,096th node runs one greedy slice, the last one stops the search
-    res = exists_ordering(complete(7), 3, CYCLIC, SolveBudget(max_nodes))
+    res = exists_ordering(circulant3(6), 6, LINEAR, SolveBudget(max_nodes))
     assert res.status == BUDGET_EXCEEDED
     assert (res.nodes_explored, res.greedy_placements) == (nodes, placements)
     assert sum(res.depth_histogram) == nodes
@@ -169,12 +170,12 @@ def test_exists_budget_covers_the_compat_masks(monkeypatch):
 
 @pytest.mark.parametrize("solve,status", [
     (lambda: exists_ordering(complete(5), 2, CYCLIC), NONEXISTENCE_CERTIFIED),
-    (lambda: exists_ordering(complete(6), 3, CYCLIC, SolveBudget(max_nodes=5)),
+    (lambda: exists_ordering(circulant3(6), 6, LINEAR, SolveBudget(max_nodes=5)),
      BUDGET_EXCEEDED),
     (lambda: exists_ordering(complete(7), 3, CYCLIC, SolveBudget(max_seconds=1e-9)),
      BUDGET_EXCEEDED),
     (lambda: ms_exact(complete(8), SolveBudget(max_nodes=100)), BUDGET_EXCEEDED),
-    (lambda: cms_exact(complete(7), SolveBudget(max_nodes=39_341)), BUDGET_EXCEEDED),
+    (lambda: cms_exact(circulant3(6), SolveBudget(max_nodes=2_652)), BUDGET_EXCEEDED),
     (lambda: cms_exact(complete(7), SolveBudget(max_seconds=1e-9)), BUDGET_EXCEEDED),
 ], ids=["exists-refuted", "exists-nodes", "exists-seconds", "ms-nodes",
         "cms-nodes-after-refutation", "cms-seconds"])
@@ -324,11 +325,11 @@ def test_twin_detection_matches_equal_compat_masks():
     twinned = 0
     for g in hosts:
         want = _tables_by_definition(g)
-        assert _tables(g) == want, [(e.u, e.v) for e in g.edges]
+        assert _tables(g)[:3] == want, [(e.u, e.v) for e in g.edges]
         twinned += want[2] != (1 << g.num_edges) - 1
     assert (twinned, len(hosts)) == (80, 207)  # hosts with a twin class, of all
     for g in (complete(40), multiply(complete(7), 2)):  # dense, and twins
-        assert _tables(g) == _tables_by_definition(g)
+        assert _tables(g)[:3] == _tables_by_definition(g)
 
 
 def test_matching_bound_one_builds_no_search_tables(monkeypatch):
@@ -376,7 +377,7 @@ def test_window_rule_matches_its_definition(g, mode):
     tables = _tables(g)
     for d in range(1, m + 1):
         if d > 1:
-            compat, flip, start = tables
+            compat, flip, start, _ = tables
         else:  # the tables exists_ordering builds at d = 1
             flip = [1 << e for e in range(m)]
             compat, start = [full ^ bit for bit in flip], full
@@ -450,43 +451,44 @@ def test_k11_cyclic_d4_pins_the_greedy_path():
 
 
 def test_refutation_runs_the_heuristic_without_moving_its_count():
-    # K7 cyclic d=3 has no witness: each of the nine checkpoints runs the
-    # next full slice of the restarts, and the count is the DFS's alone
-    g = complete(7)
-    res = exists_ordering(g, 3, CYCLIC)
+    # circulant3(6) linear d=6 has no witness: each of the twelve
+    # checkpoints runs the next full slice of the restarts, and the count
+    # is the DFS's alone
+    g = circulant3(6)
+    res = exists_ordering(g, 6, LINEAR)
     assert res.status == NONEXISTENCE_CERTIFIED
-    assert res.nodes_explored == 39_341
-    gen = _greedy_restarts(g, 3, True, _tables(g)[0])
+    assert res.nodes_explored == 49_788
+    gen = _greedy_restarts(g, 6, False, _tables(g)[0])
     slices = [next(gen) for _ in range(res.nodes_explored // 4096)]
-    assert all(found is None for _, found in slices)
-    assert res.greedy_placements == sum(work for work, _ in slices) == 4_155
+    assert len(slices) == 12 and all(found is None for _, found in slices)
+    assert res.greedy_placements == sum(work for work, _ in slices) == 1_435
 
 
 # unseeded exact solves of the reference search: (solve, host, nodes,
 # greedy placements, depth histogram)
 _PINNED_SOLVES = {
-    "ms-K5_5": (ms_exact, lambda: complete_bipartite(5, 5), 35_596, 743,
-        (26, 401, 3601, 14401, 14401, 1, 1, 1, 2, 4, 7, 12, 24, 46, 82,
-         136, 198, 289, 444, 638, 487, 285, 98, 10, 1)),
+    "ms-K5_5": (ms_exact, lambda: complete_bipartite(5, 5), 2_776, 0,
+        (2, 2, 2, 2, 2, 1, 1, 1, 2, 4, 7, 12, 24, 46, 82, 136, 198, 289,
+         444, 638, 487, 285, 98, 10, 1)),
     "ms-circulant3_6": (ms_exact, lambda: circulant3(6), 49_806, 1_435,
         (19, 235, 2017, 10081, 23041, 14401, 1, 1, 1, 1, 1, 1, 1, 1, 1,
          1, 1, 1)),
-    "cms-K7": (cms_exact, lambda: complete(7), 39_426, 4_155,
-        (2, 11, 31, 61, 121, 241, 481, 721, 1201, 1921, 2881, 3361,
-         4321, 4803, 5528, 4331, 3373, 2656, 2413, 967, 1)),
-    "cms-K5_5": (cms_exact, lambda: complete_bipartite(5, 5), 4_876, 0,
-        (2, 17, 145, 577, 577, 1, 1, 1, 2, 4, 8, 16, 32, 65, 118, 170,
-         256, 401, 585, 799, 639, 369, 85, 5, 1)),
+    "cms-K7": (cms_exact, lambda: complete(7), 1_398, 0,
+        (2, 2, 2, 3, 5, 9, 17, 25, 41, 65, 97, 113, 145, 163, 192, 155,
+         125, 104, 93, 39, 1)),
+    "cms-K5_5": (cms_exact, lambda: complete_bipartite(5, 5), 3_568, 0,
+        (2, 2, 2, 2, 2, 1, 1, 1, 2, 4, 8, 16, 32, 65, 118, 170, 256, 401,
+         585, 799, 639, 369, 85, 5, 1)),
     "cms-2K7": (cms_exact, lambda: multiply(complete(7), 2), 5_853, 269,
         (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
          2, 4, 6, 12, 22, 43, 70, 118, 190, 323, 399, 534, 697, 823,
          768, 672, 541, 454, 140, 13, 1)),
-    "ms-K8": (ms_exact, lambda: complete(8), 9_584, 108,
-        (29, 421, 2521, 2521, 1, 1, 1, 1, 1, 1, 1, 1, 1, 3, 10, 22, 49,
-         132, 277, 435, 665, 831, 865, 574, 209, 11, 0, 0)),
-    "cms-K8": (cms_exact, lambda: complete(8), 4_292, 271,
-        (2, 16, 91, 91, 1, 1, 1, 1, 1, 1, 1, 1, 1, 3, 10, 22, 49, 132,
-         277, 435, 665, 831, 865, 574, 209, 11, 0, 0)),
+    "ms-K8": (ms_exact, lambda: complete(8), 4_100, 28,
+        (2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 3, 10, 22, 49, 132, 277,
+         435, 665, 831, 865, 574, 209, 11, 0, 0)),
+    "cms-K8": (cms_exact, lambda: complete(8), 4_100, 271,
+        (2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 3, 10, 22, 49, 132, 277,
+         435, 665, 831, 865, 574, 209, 11, 0, 0)),
 }
 
 
@@ -500,10 +502,40 @@ def test_node_counts_pinned(name):
     assert (res.greedy_placements, res.depth_histogram) == (placements, hist)
 
 
+@pytest.mark.parametrize("n,nodes", [
+    (4, 2), (5, 84), (6, 245), (7, 1_398), (8, 4_100), (9, 23_266),
+    (10, 409_605), (11, 567_427),
+])
+def test_cms_complete_is_half_the_order_minus_one(n, nodes):
+    # the paper's theorem cms(K_2m) = cms(K_2m+1) = m - 1, certified by an
+    # exhausted tree at every d above it, with the first window pinned
+    res = cms_exact(complete(n))
+    assert (res.status, res.value, res.nodes_explored) == (VALUE_FOUND, n // 2 - 1, nodes)
+    assert matching_number(res.witness).value == n // 2 - 1
+
+
+def test_k9_cyclic_d4_is_refuted_in_under_a_tenth_of_the_unpinned_tree():
+    # 12,075,442 nodes without the pinned first window
+    res = exists_ordering(complete(9), 4, CYCLIC)
+    assert (res.status, res.nodes_explored) == (NONEXISTENCE_CERTIFIED, 19_170)
+
+
+def test_first_window_needs_a_simple_complete_or_complete_bipartite_host():
+    # a maximum matching in id order, from edge 0; parallel copies, twins
+    # (K3, stars) and every other host get none
+    assert _first_window(complete(6)) == (0, 9, 14)
+    assert _first_window(complete_bipartite(3, 4)) == (0, 5, 10)
+    assert _first_window(cycle(4)) == (0, 2)  # K_{2,2}
+    assert _first_window(multiply(complete(5), 1)) == _first_window(complete(5))
+    for g in (complete(3), complete_bipartite(1, 4), multiply(complete(5), 2),
+              cycle(6), circulant3(4), path(4), attach_pendants(complete(4), 0, 1)):
+        assert _first_window(g) == (), g
+
+
 @pytest.mark.parametrize("solve,n,value,nodes", [
-    (cms_exact, 8, 3, 196),
-    (ms_exact, 8, 3, 5_488),  # the cyclic construction, read linearly
-    (cms_exact, 7, 2, 39_341),
+    (cms_exact, 8, 3, 4),
+    (ms_exact, 8, 3, 4),  # the cyclic construction, read linearly
+    (cms_exact, 7, 2, 1_313),
 ], ids=["cms-K8", "ms-K8", "cms-K7"])
 def test_seeded_solve_refutes_only_above_the_seed(solve, n, value, nodes):
     # the construction is the witness; nu = value + 1 is the one target
