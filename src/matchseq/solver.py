@@ -1,7 +1,9 @@
 """Exact decision and optimization of ms/cms by pruned backtracking.
 
-Every exact solve runs through one budgeted search core, ``_search``, which
-decides one target d.  ``exists_ordering`` validates and calls it once.
+A window of one edge is a matching, so every ordering attains d = 1 in
+either mode: ``exists_ordering`` returns the identity at d = 1, in 0 nodes.
+Every d >= 2 runs through one budgeted search core, ``_search``, which
+decides one target d; ``exists_ordering`` validates and calls it once.
 ``ms_exact``/``cms_exact`` validate and take two bounds: the
 maximum-matching bound ν above, and a floor L below, 1 or the value that
 ``matching_number`` re-checks of an optional seed, a known ordering of the
@@ -32,8 +34,7 @@ lex-leader rule in the sense of Crawford, Ginsberg, Luks and Roy (KR 1996).
 Cyclic mode pins edge id 0 to position 1.  Twins, edges that share a vertex
 with exactly the same edges, are placed in ascending id: a twin becomes
 free only once its next-lower twin is placed, so a placement and a pop each
-flip that twin's bit in the same XOR that flips the placed edge.  At d = 1
-the window is empty and ``compat[e]`` holds e's twins: no twin order then.
+flip that twin's bit in the same XOR that flips the placed edge.
 On K_s (s >= 4) and K_{A,B} (|A|, |B| >= 2), found from the edges whatever
 their labels, a fixed matching M, edge 0 first, fills positions 1..d: the
 automorphisms S_s and S_A x S_B map any d disjoint edges, in order, onto
@@ -131,6 +132,8 @@ def exists_ordering(g: Graph, d: int, mode: Mode,
     independent checker), a nonexistence certificate on full exhaustion,
     or a budget_exceeded result.  The time budget and ``elapsed_seconds``
     cover building the search tables, ``_tables``, as well as the search.
+    d = 1 needs no search: the identity ordering, in 0 nodes, whatever the
+    budget.
     """
     m = g.num_edges
     if m == 0:
@@ -140,21 +143,19 @@ def exists_ordering(g: Graph, d: int, mode: Mode,
     if mode not in (LINEAR, CYCLIC):
         raise InvalidTarget(f"bad mode {mode!r}")
     t0 = time.perf_counter()
-    if d > 1:
-        tables = _tables(g)
-    else:  # no window: every edge but e may follow e, twins in any order
-        flip, full = [1 << e for e in range(m)], (1 << m) - 1
-        tables = [full ^ bit for bit in flip], flip, full, ()
-    res = _search(g, d, mode, tables, budget.max_nodes, t0 + budget.max_seconds)
+    if d == 1:  # any ordering attains 1
+        return SolveResult(VALUE_FOUND, 1, EdgeOrdering(g, tuple(range(m)), mode),
+                           0, (0,) * m, time.perf_counter() - t0)
+    res = _search(g, d, mode, _tables(g), budget.max_nodes, t0 + budget.max_seconds)
     return replace(res, elapsed_seconds=time.perf_counter() - t0)
 
 
 def _search(g: Graph, d: int, mode: Mode,
             tables: tuple[list[int], list[int], int, tuple[int, ...]],
             max_nodes: int, deadline: float, heuristic: bool = True) -> SolveResult:
-    """Decide target d on validated input: budget_exceeded at node max_nodes
-    + 1 or at the first checkpoint past ``deadline``, a perf_counter value.
-    ``tables`` is ``_tables(g)``, or at d = 1 those of ``exists_ordering``.
+    """Decide target d >= 2 on validated input: budget_exceeded at node
+    max_nodes + 1 or at the first checkpoint past ``deadline``, a
+    perf_counter value.  ``tables`` is ``_tables(g)``.
     The greedy restarts run at the checkpoints only if ``heuristic``.  The
     caller times the call: ``elapsed_seconds`` is left at 0."""
     m = g.num_edges
@@ -231,7 +232,7 @@ def _search(g: Graph, d: int, mode: Mode,
 
 
 def _window_rule(m: int, d: int, cyclic: bool, compat: list[int]):
-    """The solver's one candidate rule, as ``step(i, e) -> W_{i+1}``.
+    """The solver's one candidate rule at d >= 2, as ``step(i, e) -> W_{i+1}``.
 
     Call ``step(i, e)`` when edge e is placed at index i < m-1; pops need no
     call.  W_{i+1} ANDs the compat masks of the edges that index i+2 sees
@@ -252,8 +253,6 @@ def _window_rule(m: int, d: int, cyclic: bool, compat: list[int]):
     """
     full = (1 << m) - 1
     k = d - 1
-    if not k:
-        return lambda i, e: full
     pre = [full] * m
     suf = [full] * (m + k)
     at = [full] * m  # at[i]: the compat mask of the edge at index i
@@ -293,8 +292,6 @@ def _greedy_restarts(g: Graph, d: int, cyclic: bool, compat: list[int]):
     degree = degrees(g)
     rand = random.Random(_GREEDY_SEED).random
     full = (1 << m) - 1
-    if d == 1:  # no window: any free edge may follow
-        compat = [full] * m
     placed = scanned = 0
     while True:  # one restart
         left = degree[:]  # unplaced edges at each vertex

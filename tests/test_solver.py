@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -115,14 +116,14 @@ def test_budget_exceeded_by_time():
 
 
 def test_budget_propagates_with_bracket():
-    # enough budget to refute d=3 on K_7 (1,313 nodes); either d=2 is then
-    # found within the leftovers or the bracket from the refutation survives
-    res = cms_exact(complete(7), SolveBudget(max_nodes=40_000))
-    if res.status == VALUE_FOUND:
-        assert res.value == 2
-    else:
-        assert res.status == BUDGET_EXCEEDED
-        assert res.certified_upper == 3
+    # d=3 on K_7 is refuted in 1,313 nodes and d=2 found 85 nodes later:
+    # one node short, the bracket from the refutation survives
+    res = cms_exact(complete(7), SolveBudget(max_nodes=1_313))
+    assert (res.status, res.nodes_explored, res.certified_upper, res.value) == \
+        (BUDGET_EXCEEDED, 1_314, 3, None)
+    res = cms_exact(complete(7), SolveBudget(max_nodes=1_398))
+    assert (res.status, res.nodes_explored, res.certified_upper, res.value) == \
+        (VALUE_FOUND, 1_398, None, 2)
 
 
 def test_exact_node_budget_is_a_total_cap():
@@ -284,7 +285,7 @@ def test_greedy_restarts_yield_only_checked_witnesses(g):
     compat = _tables(g)[0]
     for mode in (LINEAR, CYCLIC):
         best = _best_by_enumeration(g, mode)
-        for d in range(1, m + 1):
+        for d in range(2, m + 1):  # d = 1 is answered with no search
             gen = _greedy_restarts(g, d, mode == CYCLIC, compat)
             found = [s for _, s in itertools.islice(gen, 4) if s]
             # every reachable target is met within four slices on this corpus
@@ -365,7 +366,7 @@ def _seeded_multigraph() -> Graph:
                          ids=["C40", "K9", "multigraph7-30"])
 @pytest.mark.parametrize("mode", [LINEAR, CYCLIC])
 def test_window_rule_matches_its_definition(g, mode):
-    # random pushes and pops over every d, d = 1 and d = m included: each
+    # random pushes and pops over every d the search sees, 2 to m: each
     # round pops to a depth, below block starts, and refills over the
     # entries the popped positions left behind.  Each placement's
     # successors, read before it from W as the DFS reads them, must be the
@@ -374,13 +375,8 @@ def test_window_rule_matches_its_definition(g, mode):
     cyclic = mode == CYCLIC
     full = (1 << m) - 1
     rng = random.Random(m)
-    tables = _tables(g)
-    for d in range(1, m + 1):
-        if d > 1:
-            compat, flip, start, _ = tables
-        else:  # the tables exists_ordering builds at d = 1
-            flip = [1 << e for e in range(m)]
-            compat, start = [full ^ bit for bit in flip], full
+    compat, flip, start, _ = _tables(g)
+    for d in range(2, m + 1):
         step = _window_rule(m, d, cyclic, compat)
         seq, free, ws = [], start, [full]  # ws[i]: W_i
         for depth in [0, 0] + [rng.randrange(m - 1) for _ in range(4)]:
@@ -398,25 +394,35 @@ def test_window_rule_matches_its_definition(g, mode):
                 ws.append(step(i, e))
 
 
-@pytest.mark.parametrize("g,placements", [
-    (path(2), (0, 0)),
-    (multiply(complete(4), 2), (0, 0)),
-    (complete_bipartite(3, 4), (0, 0)),
-    (path(5000), (0, 1)),  # 4,999 edges: one greedy slice, at node 4,096
+@pytest.mark.parametrize("g", [
+    path(2), multiply(complete(4), 2), complete_bipartite(3, 4), path(5000),
 ], ids=["P2", "2K4", "K3_4", "P5000"])
-def test_d1_takes_the_first_descent(g, placements):
-    # no window: every edge but e may follow e, twins (2K4's parallel
-    # copies) unordered, so the first descent 0..m-1 is the witness
+def test_d1_needs_no_search(g):
+    # a window of one edge is a matching: the identity is a witness in 0
+    # nodes, whatever the budget
     m = g.num_edges
-    for mode, want in zip((LINEAR, CYCLIC), placements):
-        res = exists_ordering(g, 1, mode)
-        assert (res.status, res.nodes_explored, res.greedy_placements) == \
-            (VALUE_FOUND, m, want)
-        assert res.witness.sequence == tuple(range(m))
-        assert res.depth_histogram == (1,) * m
-        res = exists_ordering(g, 1, mode, SolveBudget(max_nodes=5))
-        assert (res.status, res.nodes_explored) == \
-            ((BUDGET_EXCEEDED, 6) if m > 5 else (VALUE_FOUND, m))
+    for mode in (LINEAR, CYCLIC):
+        for budget in (SolveBudget(), SolveBudget(max_nodes=1)):
+            res = exists_ordering(g, 1, mode, budget)
+            assert (res.status, res.value, res.nodes_explored,
+                    res.greedy_placements) == (VALUE_FOUND, 1, 0, 0)
+            assert res.witness.sequence == tuple(range(m))
+            assert res.witness.mode == mode
+            assert matching_number(res.witness).value >= 1
+            assert res.depth_histogram == (0,) * m
+
+
+def test_d1_on_a_long_path_builds_no_tables():
+    # a search of P20001 would hold m-bit masks per edge and per depth
+    g = path(20001)
+    tracemalloc.start()
+    try:
+        res = exists_ordering(g, 1, LINEAR)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert (res.status, res.nodes_explored) == (VALUE_FOUND, 0)
 
 
 def test_greedy_slice_stops_at_the_scan_limit():
