@@ -38,7 +38,9 @@ def predicted(family: str | FamilySpec, mode: Mode,
 
     Accepts a FamilySpec or a family name plus params, and looks the value
     up in the family registry (``constructions.FAMILIES``).  Parameters out
-    of the family's bounds raise InvalidFamilyParams.
+    of the family's bounds raise InvalidFamilyParams.  A formula value below
+    1 is reported as 1: it marks a host with no two disjoint edges, where
+    1 <= cms <= ms <= nu = 1.
     """
     if isinstance(family, FamilySpec):
         family, params = family.family, family.params
@@ -51,6 +53,8 @@ def predicted(family: str | FamilySpec, mode: Mode,
     record = FAMILIES[family]
     record.check(params)
     value, provenance = record.formula(*params, mode)
+    if value < 1:
+        value, provenance = 1, "nu = 1: no two edges are disjoint, so cms = ms = 1"
     return PredictedValue(family, params, mode, value, provenance)
 
 
@@ -360,7 +364,7 @@ def explore_q2(n_max: int, budget: SolveBudget = SolveBudget(),
     rows = []
     partial = False
     for pair_list in _canonical_edge_subsets(n_max):
-        if time.perf_counter() > deadline:
+        if time.perf_counter() >= deadline:
             partial = True
             break
         # the class spans vertices 0..k-1, see _canonical_edge_subsets

@@ -342,9 +342,11 @@ class Family:
     and ``build`` makes its host graph.  ``ordering(*params, mode)`` builds
     the known-value ordering and ``formula(*params, mode)`` gives its
     ``(value, provenance)``, or raises NoKnownFormula for an instance with
-    no value on record.  ``layout`` gives a bipartite host's biadjacency
-    row and column vertex orders.  ``verify_params`` picks the instances
-    ``catalog.verify_families`` checks from its range keywords.
+    no value on record.  A formula is the family's general closed form;
+    ``catalog.predicted`` reports a value below 1 as 1.  ``layout`` gives a
+    bipartite host's biadjacency row and column vertex orders.
+    ``verify_params`` picks the instances ``catalog.verify_families`` checks
+    from its range keywords.
     """
 
     name: str
@@ -369,9 +371,8 @@ class Family:
                 f"{self.name} requires parameters >= {self.lower}, got {params}")
 
 
-# The records' adapters, value formulas and layouts.  Degenerate instances
-# whose general formula would fall below 1 (single edges, the 2-edge path
-# read cyclically) are matchings or floor cases and get value 1.
+# The records' adapters, value formulas and layouts.  Each formula is the
+# family's general closed form; ``catalog.predicted`` floors a value below 1.
 
 def _complete_ordering(n: int, mode: Mode) -> EdgeOrdering:
     if n < 2:
@@ -387,27 +388,18 @@ def _complete_ordering(n: int, mode: Mode) -> EdgeOrdering:
 
 
 def _complete_value(n: int, mode: Mode) -> tuple[int, str]:
-    if n == 2:
-        return 1, "K_2 is a single edge, hence a matching: value m = 1"
     if n < 2:
         raise NoKnownFormula("complete graphs below order 2 have no edges")
     if mode == LINEAR:
         return (n - 1) // 2, "ms(K_n) = floor((n-1)/2)"
-    if n == 3:
-        return 1, "cms(K_3) = 1"
-    if n % 2 == 0:
-        return (n - 1) // 2, "cms(K_n) = floor((n-1)/2) for even n >= 4"
-    return (n - 3) // 2, "cms(K_n) = floor((n-3)/2) for odd n >= 5"
+    return n // 2 - 1, "cms(K_2m) = cms(K_2m+1) = m - 1"
 
 
 def _complete_bipartite_value(p: int, q: int, mode: Mode) -> tuple[int, str]:
-    p, q = min(p, q), max(p, q)
     ms = "ms" if mode == LINEAR else "cms"
-    if p == q == 1:
-        return 1, "K_{1,1} is a single edge: value m = 1"
     if p == q:
         return q - 1, f"{ms}(K_{{q,q}}) = q - 1"
-    return p, f"{ms}(K_{{p,q}}) = min(p,q) when p != q"
+    return min(p, q), f"{ms}(K_{{p,q}}) = min(p,q) when p != q"
 
 
 def _even_cycle_layout(n: int) -> tuple[list[int], list[int]]:
@@ -419,15 +411,9 @@ def _even_cycle_layout(n: int) -> tuple[list[int], list[int]]:
 
 
 def _path_value(n: int, mode: Mode) -> tuple[int, str]:
-    if n == 2:
-        return 1, "P_2 is a single edge: value m = 1"
-    if n % 2 == 0:
-        return (n - 2) // 2, "cms(P_n) = ms(P_n) = (n-2)/2 for even n"
     if mode == LINEAR:
-        return (n - 1) // 2, "ms(P_n) = (n-1)/2 for odd n"
-    if n == 3:
-        return 1, "cms(P_3) = 1 (value floor; both edges meet)"
-    return (n - 3) // 2, "cms(P_n) = (n-3)/2 for odd n >= 5"
+        return (n - 1) // 2, "ms(P_n) = floor((n-1)/2)"
+    return (n - 2) // 2, "cms(P_n) = floor((n-2)/2)"
 
 
 def _path_layout(n: int) -> tuple[list[int], list[int]]:
@@ -443,9 +429,7 @@ def _doubled_complete_ordering(n: int, mode: Mode) -> EdgeOrdering:
 def _doubled_complete_value(n: int, mode: Mode) -> tuple[int, str]:
     if n < 5 or n % 2 == 0:
         raise NoKnownFormula("doubled complete value on record: odd n >= 5")
-    if mode == LINEAR:
-        return (n - 1) // 2, "ms(2K_{2m+1}) = m, as cms <= ms <= nu = m"
-    return (n - 1) // 2, "cms(2K_{2m+1}) = m"
+    return (n - 1) // 2, "ms(2K_{2m+1}) = cms(2K_{2m+1}) = m"
 
 
 FAMILIES: dict[str, Family] = {f.name: f for f in (

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from types import SimpleNamespace
@@ -12,6 +13,7 @@ from matchseq import (CYCLIC, LINEAR, FamilySpec, cms_exact, complete,
 from matchseq.errors import InvalidFamilyParams, NoKnownFormula
 from matchseq.graphs import Edge, Graph, complete_bipartite
 from matchseq import catalog
+from matchseq.constructions import FAMILIES
 from matchseq.solver import VALUE_FOUND, SolveBudget, SolveResult
 
 
@@ -103,6 +105,33 @@ def test_corollary_even_vs_odd_complete():
         lin = predicted("complete", LINEAR, (n,)).value
         cyc = predicted("complete", CYCLIC, (n,)).value
         assert cyc == lin - (n % 2)
+
+
+def test_formulas_fall_below_one_only_where_nu_is_one():
+    below = set()
+    for name, record in FAMILIES.items():
+        top = 8 if record.arity == 2 else 12
+        for params in itertools.product(range(record.lower, top + 1),
+                                        repeat=record.arity):
+            for mode in (LINEAR, CYCLIC):
+                try:
+                    value, _ = record.formula(*params, mode)
+                except NoKnownFormula:
+                    continue
+                pv = predicted(name, mode, params)
+                if value >= 1:
+                    assert pv.value == value, (name, params, mode)
+                    continue
+                below.add((name, params, mode))
+                assert max_matching_size(record.build(*params)) == 1
+                assert (pv.value, pv.provenance) == (
+                    1, "nu = 1: no two edges are disjoint, so cms = ms = 1")
+    assert below == {
+        ("complete", (2,), LINEAR), ("complete", (2,), CYCLIC),
+        ("complete", (3,), CYCLIC),
+        ("complete_bipartite", (1, 1), LINEAR),
+        ("complete_bipartite", (1, 1), CYCLIC),
+        ("path", (2,), LINEAR), ("path", (2,), CYCLIC), ("path", (3,), CYCLIC)}
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +379,24 @@ def test_q2_budget_covers_the_whole_call(monkeypatch):
     assert [b.max_seconds for b in given] == pytest.approx([1.0, 0.6, 0.2])
     assert [(r.ms_value, r.cms_value) for r in res.rows] == [(1, 1), (1, None)]
     assert res.partial and not res.rows[1].resolved
+
+
+def test_q2_builds_no_host_at_the_deadline(monkeypatch):
+    _stub_solves(monkeypatch, 0.4)
+    built = []
+    graph_from_pairs = catalog._graph_from_pairs
+
+    def counting(n, pairs):
+        built.append(pairs)
+        return graph_from_pairs(n, pairs)
+
+    monkeypatch.setattr(catalog, "_graph_from_pairs", counting)
+    res = explore_q2(3, SolveBudget(max_seconds=0.8))
+    # the first class's two solves end exactly at the 0.8 s deadline, so
+    # no later class is built or reported
+    assert len(built) == 1
+    assert [(r.ms_value, r.cms_value) for r in res.rows] == [(1, 1)]
+    assert res.partial
 
 
 @pytest.mark.parametrize("seconds_each,given,resolved", [
