@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count, repeat
 from operator import add, eq, lt, mul
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import FormatError, InvalidFamilyParams, InvalidVertex
 
@@ -269,10 +269,11 @@ def degrees(g: Graph) -> list[int]:
     return deg
 
 
-def _neighbour_sets(g: Graph) -> list[set[int]]:
-    """Per-vertex neighbour sets, filled in edge-id order."""
-    nbrs: list[set[int]] = [set() for _ in range(g.order)]
-    for u, v in zip(g.us, g.vs):
+def _neighbour_sets(order: int, us: Sequence[int], vs: Sequence[int]) -> list[set[int]]:
+    """Per-vertex neighbour sets of the edges ``us[i] vs[i]`` on vertices
+    0..order-1, filled in edge-id order."""
+    nbrs: list[set[int]] = [set() for _ in range(order)]
+    for u, v in zip(us, vs):
         nbrs[u].add(v)
         nbrs[v].add(u)
     return nbrs
@@ -280,7 +281,7 @@ def _neighbour_sets(g: Graph) -> list[set[int]]:
 
 def is_connected(g: Graph) -> bool:
     """Connectivity over vertices (isolated vertices count)."""
-    neigh = _neighbour_sets(g)
+    neigh = _neighbour_sets(g.order, g.us, g.vs)
     seen = {0}
     stack = [0]
     while stack:
@@ -304,18 +305,26 @@ def max_matching_size(g: Graph) -> int:
     (:func:`_augment`).  By Edmonds' theorem a vertex with no augmenting
     path keeps having none after later augmentations, so one search per
     root suffices.  Iterative, O(n^3) in the worst case.
+
+    A host whose order exceeds its 2m edge ends has isolated vertices; it
+    is matched on its vertices with edges alone, renumbered in ascending
+    order.  So no table outgrows O(m), whatever the order.
     """
-    nbrs = _neighbour_sets(g)
-    mate = [-1] * g.order
+    order, us, vs = g.order, g.us, g.vs
+    if order > 2 * len(us):
+        index = {v: i for i, v in enumerate(sorted({*us, *vs}))}
+        order, us, vs = len(index), [index[u] for u in us], [index[v] for v in vs]
+    nbrs = _neighbour_sets(order, us, vs)
+    mate = [-1] * order
     size = 0
-    for v in range(g.order):
+    for v in range(order):
         if mate[v] < 0:
             for w in nbrs[v]:
                 if mate[w] < 0:
                     mate[v], mate[w] = w, v
                     size += 1
                     break
-    for root in range(g.order):
+    for root in range(order):
         if mate[root] < 0 and nbrs[root] and _augment(nbrs, mate, root):
             size += 1
     return size

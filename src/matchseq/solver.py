@@ -29,6 +29,21 @@ An empty mask before index m-1 is a dead end, counted but never placed, at
 the cost of one AND.  A placed node costs one call of the rule: at most
 three ANDs, plus O(d) per entry into every (d-1)-th index.
 
+The rule also spaces the edges at each vertex d apart, as they must be in
+any ordering of value >= d: they form a clique of the line graph, and any
+two of them closer than d share a window.  ``_spacing`` reads it, per d
+from the degrees taken once per solve, as a mask per index.
+In cyclic mode a vertex of degree r needs r*d <= m.  In linear mode, with
+m - 1 = R*d + s and 0 <= s < d, it needs r <= R + 1, and a vertex of degree
+R + 1 has its edges at positions p with (p-1) mod d <= s: every other
+index holds only edges with no such endpoint.  A tree that breaks the
+degree bound, or has an index that may hold no edge, is refuted in 0
+nodes: P16 linear d=8, which took 442,193 nodes before the rule, is one.
+Where some index is tight, a placed node pays one more AND, folded into
+W; elsewhere it pays nothing.  Every ordering of value >= d obeys the
+rule, the ones the symmetry rules below keep included, so it needs no
+argument joint with them.
+
 Symmetry breaking has three rules, proved together in ``_tables``, each a
 lex-leader rule in the sense of Crawford, Ginsberg, Luks and Roy (KR 1996).
 Cyclic mode pins edge id 0 to position 1.  Twins, edges that share a vertex
@@ -146,22 +161,29 @@ def exists_ordering(g: Graph, d: int, mode: Mode,
     if d == 1:  # any ordering attains 1
         return SolveResult(VALUE_FOUND, 1, EdgeOrdering(g, tuple(range(m)), mode),
                            0, (0,) * m, time.perf_counter() - t0)
-    res = _search(g, d, mode, _tables(g), budget.max_nodes, t0 + budget.max_seconds)
+    res = _search(g, d, mode, _tables(g), degrees(g), budget.max_nodes,
+                  t0 + budget.max_seconds)
     return replace(res, elapsed_seconds=time.perf_counter() - t0)
 
 
 def _search(g: Graph, d: int, mode: Mode,
             tables: tuple[list[int], list[int], int, tuple[int, ...]],
-            max_nodes: int, deadline: float, heuristic: bool = True) -> SolveResult:
+            degree: list[int], max_nodes: int, deadline: float,
+            heuristic: bool = True) -> SolveResult:
     """Decide target d >= 2 on validated input: budget_exceeded at node
     max_nodes + 1 or at the first checkpoint past ``deadline``, a
-    perf_counter value.  ``tables`` is ``_tables(g)``.
-    The greedy restarts run at the checkpoints only if ``heuristic``.  The
-    caller times the call: ``elapsed_seconds`` is left at 0."""
+    perf_counter value.  ``tables`` is ``_tables(g)`` and ``degree`` is
+    ``degrees(g)``; a tree that ``_spacing`` leaves empty is refuted in 0
+    nodes.  The greedy restarts run at the checkpoints only if
+    ``heuristic``.  The caller times the call: ``elapsed_seconds`` is left
+    at 0."""
     m = g.num_edges
     compat, flip, free, window = tables  # free: unplaced, every lower twin placed
     cyclic = mode == CYCLIC
-    step = _window_rule(m, d, cyclic, compat)
+    room = _spacing(g, d, cyclic, degree)
+    if room is None:
+        return SolveResult(NONEXISTENCE_CERTIFIED, None, None, 0, (0,) * m)
+    step = _window_rule(m, d, cyclic, compat, room)
     last = m - 1
     pin = window[:d] or ((0,) if cyclic else ())  # the pinned prefix
     lead = compat  # lead[e]: the edges that may follow e, a pinned one the next
@@ -173,8 +195,8 @@ def _search(g: Graph, d: int, mode: Mode,
     # at each index i < p: the placed edge, the untried candidates and X_i
     seq, stack, shared = [0] * m, [0] * m, [0] * m
     p = 0
-    cand = 1 << pin[0] if pin else free  # untried at index p
-    x = free  # X_p: W_0 is all ones
+    cand = 1 << pin[0] if pin else free  # untried at index p; room[0] is all ones
+    x = free & room[1]  # X_p: W_0 is index 1's room
     hist = [0] * m
     nodes = placed = 0
     greedy = None  # started at the first checkpoint
@@ -231,14 +253,60 @@ def _search(g: Graph, d: int, mode: Mode,
                        greedy_placements=placed)
 
 
-def _window_rule(m: int, d: int, cyclic: bool, compat: list[int]):
+def _spacing(g: Graph, d: int, cyclic: bool, degree: list[int]) -> list[int] | None:
+    """The spacing rule at d >= 2: ``room[i]``, the edges index i may hold
+    (i <= m; index m is never filled), or None if the rule leaves the tree
+    empty.  ``degree`` is ``degrees(g)``, taken once per solve; Δ is its
+    largest.  Built in O(n + m).
+
+    In an ordering of value >= d, two edges that meet lie at least d apart,
+    cyclically in cyclic mode, as any two closer positions share a window:
+    the edges at one vertex, a clique of the line graph, are spaced d apart
+    (the clique bound of Leung, Vornberger and Witthoff, SIAM J. Comput.
+    13, 1984).  Cyclic: r edges at a vertex leave r gaps of at least d
+    around the cycle, so r*d <= m.  Linear: r edges span (r-1)*d + 1
+    positions, so r <= R + 1, where m - 1 = R*d + s, 0 <= s < d.  At r =
+    R + 1 the i-th edge sits at position 1 + (i-1)*d + t_i, with t_1 <=
+    ... <= t_r <= s, so every edge at such a vertex sits at a position p
+    with (p-1) mod d <= s.  Hence the tight indices i, those with i mod d
+    > s, hold only edges with no endpoint of degree R + 1; only edges at a
+    degree-Δ vertex can have one.  There is a tight index iff s < d - 1,
+    and then index s + 1 < m is one (d <= m makes R >= 1).
+
+    Every ordering of value >= d satisfies the rule, among them the one
+    the rotation pin, the twin order and the first-window pin keep of any
+    ordering of value >= d: so the rule holds jointly with those three.
+    The tree is empty if a vertex breaks its mode's degree bound, or if in
+    linear mode a tight index may hold no edge.
+    """
+    m = g.num_edges
+    top = max(degree)
+    full = (1 << m) - 1
+    if cyclic:
+        return [full] * (m + 1) if top * d <= m else None
+    span, s = divmod(m - 1, d)  # R and s
+    if top > span + 1:
+        return None
+    if top <= span or s == d - 1:  # no vertex or no index is tight
+        return [full] * (m + 1)
+    loose = 0  # the edges a tight index may hold: no endpoint of degree Δ
+    for e, (u, v) in enumerate(zip(g.us, g.vs)):
+        if top not in (degree[u], degree[v]):
+            loose |= 1 << e
+    return [full if i % d <= s else loose for i in range(m + 1)] if loose else None
+
+
+def _window_rule(m: int, d: int, cyclic: bool, compat: list[int],
+                 room: list[int] | None = None):
     """The solver's one candidate rule at d >= 2, as ``step(i, e) -> W_{i+1}``.
 
     Call ``step(i, e)`` when edge e is placed at index i < m-1; pops need no
-    call.  W_{i+1} ANDs the compat masks of the edges that index i+2 sees
-    but index i+1: indices max(0, i-d+3)..i and, cyclic only, 0..i+d+1-m.
-    So a candidate f of index i+1 has the successors ``free & W_{i+1} &
-    compat[f]``; W_0 is all ones.  Sliding-window ANDs by block prefixes and
+    call.  W_{i+1} ANDs ``room[i+2]``, the edges ``_spacing`` lets index i+2
+    hold (all, if ``room`` is None), with the compat masks of the edges
+    that index i+2 sees but index i+1: indices max(0, i-d+3)..i and, cyclic
+    only, 0..i+d+1-m.  So a candidate f of index i+1 has the successors
+    ``free & W_{i+1} & compat[f]``; W_0 is ``room[1]``, and index 0 takes
+    every edge.  Sliding-window ANDs by block prefixes and
     suffixes (van Herk, Pattern Recogn. Lett. 13, 1992; Gil and Werman, IEEE
     TPAMI 15, 1993): in blocks of k = d-1 indices, the window i-k+2..i is
     ``pre[i] & suf[i+2]``, or ``suf[i+2]`` alone where i ends its block.
@@ -247,11 +315,12 @@ def _window_rule(m: int, d: int, cyclic: bool, compat: list[int]):
     O(k) from ``at`` when that end is placed: once per entry into a block.
     The cyclic wrap, in block 0, is ``pre`` at min(i, i+d+1-m); at i = m-2
     any placed mask would do, as index m-1's one candidate has no successor.
-    So a call makes at most three ANDs, plus the rebuild.  Entries past
-    index i go stale on a pop and are rewritten before they are read.
-    Memory: two m-bit masks per position.
+    So a call makes at most three ANDs, four if some index is tight, plus
+    the rebuild.  Entries past index i go stale on a pop and are rewritten
+    before they are read.  Memory: two m-bit masks per position.
     """
     full = (1 << m) - 1
+    spaced = room is not None and min(room) < full  # else skip room's AND
     k = d - 1
     pre = [full] * m
     suf = [full] * (m + k)
@@ -269,6 +338,8 @@ def _window_rule(m: int, d: int, cyclic: bool, compat: list[int]):
             for j in range(i, i - k + 1, -1):
                 w &= at[j]
                 suf[j + k] = w
+        if spaced:
+            w &= room[i + 2]
         return w if i < reach else w & pre[i - reach]
 
     return step
@@ -284,12 +355,17 @@ def _greedy_restarts(g: Graph, d: int, cyclic: bool, compat: list[int]):
     sequences, twins go in any order) whose two endpoints have the most
     unplaced edges, ties broken by a fixed-seed ``random.Random``.  A
     restart with no candidate left is dropped and the next one begins.
-    ``_search`` re-checks finished sequences like any DFS witness.
+    ``_search`` re-checks finished sequences like any DFS witness.  If
+    ``_spacing`` leaves the tree empty, there is nothing to find: the
+    generator ends at once.
     """
     m = g.num_edges
-    step = _window_rule(m, d, cyclic, compat)
-    ends = list(zip(g.us, g.vs))
     degree = degrees(g)
+    room = _spacing(g, d, cyclic, degree)
+    if room is None:
+        return
+    step = _window_rule(m, d, cyclic, compat, room)
+    ends = list(zip(g.us, g.vs))
     rand = random.Random(_GREEDY_SEED).random
     full = (1 << m) - 1
     placed = scanned = 0
@@ -297,8 +373,8 @@ def _greedy_restarts(g: Graph, d: int, cyclic: bool, compat: list[int]):
         left = degree[:]  # unplaced edges at each vertex
         seq: list[int] = []
         free = full
-        cand = 1 if cyclic else full
-        w = full  # W of the index being filled
+        cand = 1 if cyclic else full  # room[0] is all ones
+        w = room[1]  # W of the index being filled
         while True:
             best = []  # the candidates of top score, ascending id
             top = -1
@@ -432,12 +508,12 @@ def _exact(g: Graph, mode: Mode, budget: SolveBudget,
         floor = matching_number(seed).value
     nu = max_matching_size(g)
     if nu > floor:  # else no d is searched
-        tables = _tables(g)
+        tables, degree = _tables(g), degrees(g)
     nodes = placed = 0
     hist = [0] * m
     certified: int | None = None
     for d in range(nu, floor, -1):
-        res = _search(g, d, mode, tables, budget.max_nodes - nodes, deadline,
+        res = _search(g, d, mode, tables, degree, budget.max_nodes - nodes, deadline,
                       heuristic=seed is None)
         nodes += res.nodes_explored
         placed += res.greedy_placements

@@ -152,24 +152,25 @@ def test_verify_small_ranges_all_pass():
 
 def test_verify_out_of_budget_rows_are_unresolved():
     # cross-checks seeded with the construction: only rows with a target
-    # above the constructed value to refute can run out of budget, and the
-    # pinned first window refutes K4, K6, K3,3 and circulant3(3) in 2 or 3
+    # above the constructed value to refute can run out of budget, the
+    # pinned first window refutes K4, K6, K3,3 and circulant3(3) in 2 or 3,
+    # and spacing refutes P6 linear in 0; K5 cyclic and C6 linear stay open
     report = verify_families(max_complete=6, max_cycle=6, max_bipartite=3,
                              max_circulant=3, doubled_ms=(2,), exact_up_to_edges=16,
                              budget=SolveBudget(max_nodes=10))
     unresolved = [r for r in report.rows if r.unresolved]
-    assert len(report.rows) == 42 and len(unresolved) == 3
+    assert len(report.rows) == 42 and len(unresolved) == 2
     for r in report.rows:
         if r.unresolved:
             assert r.exact is None and not r.passed and r.status == "unresolved"
             assert r.constructed == r.predicted
         else:  # finished cross-checks and rows with none keep their status
             assert r.passed and r.status == "pass"
-    assert not report.all_pass and not report.failed and report.unresolved == 3
+    assert not report.all_pass and not report.failed and report.unresolved == 2
     assert report.to_json_obj()["all_pass"] is False
     text = report.to_text()
     assert "all pass" not in text
-    assert text.endswith("42 cases, 3 UNRESOLVED (exact solve out of budget)\n")
+    assert text.endswith("42 cases, 2 UNRESOLVED (exact solve out of budget)\n")
 
 
 def test_verify_report_json_schema():

@@ -375,11 +375,11 @@ def test_verify_unresolved_rows_exit3(capsys, tmp_path, monkeypatch):
                            "--exact-up-to-edges", "16", "--json-out", str(json_out))
     assert code == 3
     assert "all pass" not in out
-    assert "3 UNRESOLVED" in out and " UNRES " in out
+    assert "2 UNRESOLVED" in out and " UNRES " in out
     payload = json.loads(json_out.read_text())
     assert payload["all_pass"] is False
     statuses = [r["status"] for r in payload["rows"]]
-    assert statuses.count("unresolved") == 3
+    assert statuses.count("unresolved") == 2  # K5 cyclic, C6 linear
     assert set(statuses) == {"pass", "unresolved"}
 
 

@@ -5,10 +5,10 @@ matching (cyclically in cyclic mode): equivalently, every two positions
 closer than d hold disjoint edges.  The oracle searches orderings depth
 first over edge ids with plain sets, and shares no code with the solver:
 no bitmasks, candidate windows, compat masks, matching bound or greedy.
-Its two optional rules, the solver's twin order and its pinned first
-window, are stated from sets of edges; ``_oracle_value`` runs without
-them, so value agreement tests the rules' soundness and the node-for-node
-replays test their statement.
+Its three optional rules, the solver's twin order, its pinned first
+window and its spacing of the edges at each vertex, are stated from sets
+of edges; ``_oracle_value`` runs without them, so value agreement tests
+the rules' soundness and the node-for-node replays test their statement.
 """
 
 import itertools
@@ -48,19 +48,43 @@ def _window_from_sets(ends):
     return window
 
 
-def _oracle_search(g, d, mode, twins=False, pin=False):
+def _allowed_positions(ends, d, cyclic):
+    """For each edge, the 0-based positions where the spacing rule lets it
+    sit: the other edges at each endpoint v must fit d apart around it, so
+    deg(v) - 1 <= floor((p-1)/d) + floor((m-p)/d) at position p; cyclically,
+    deg(v) * d <= m."""
+    m = len(ends)
+    degree = {}
+    for e in ends:
+        for v in e:
+            degree[v] = degree.get(v, 0) + 1
+    if cyclic:
+        return [set(range(m)) if all(degree[v] * d <= m for v in e) else set()
+                for e in ends]
+    return [{j for j in range(m) if all(degree[v] - 1 <= j // d + (m - 1 - j) // d
+                                        for v in e)} for e in ends]
+
+
+def _oracle_search(g, d, mode, twins=False, pin=False, spacing=False):
     """(found, placements) of a DFS for an ordering of value >= d.
 
     Candidates are tried in ascending edge id, and cyclic mode puts edge 0
     first.  With ``twins``, an edge is skipped while a lower-id edge that
     meets the same set of edges is unused.  With ``pin`` and d >= 2,
     positions 1..min(d, |M|) hold M = ``_window_from_sets`` in order, on the
-    hosts that have one.  With both, a refutation visits the prefixes the
-    solver visits.
+    hosts that have one.  With ``spacing`` and d >= 2, an edge goes only
+    where ``_allowed_positions`` lets it, and the tree is empty if some
+    edge has no allowed position or some position no allowed edge.  With
+    all three, a refutation visits the prefixes the solver visits.
     """
     ends = [{e.u, e.v} for e in g.edges]
     m = len(ends)
     cyclic = mode == CYCLIC
+    allowed = [set(range(m))] * m
+    if spacing and d >= 2:
+        allowed = _allowed_positions(ends, d, cyclic)
+        if not all(allowed) or set(range(m)) - set().union(*allowed):
+            return False, 0
     order, used, placements = [], set(), [0]
     lower_twins = [[] for _ in range(m)]  # lower-id edges meeting what e meets
     if twins:
@@ -80,7 +104,7 @@ def _oracle_search(g, d, mode, twins=False, pin=False):
         # the vertices of the placed edges closer than d to position j
         near = set().union(*(ends[f] for i, f in enumerate(order) if close(i, j)))
         for e in (prefix[j:j + 1] if j < len(prefix) else range(m)):
-            if e in used or not ends[e].isdisjoint(near):
+            if e in used or j not in allowed[e] or not ends[e].isdisjoint(near):
                 continue
             if any(f not in used for f in lower_twins[e]):
                 continue
@@ -158,26 +182,53 @@ def test_relabelled_hosts_pin_their_first_window(g, value, seed, mode, exact):
             d == want, res.nodes_explored), d
 
 
+def test_all_6_vertex_classes_replay_node_for_node():
+    # every search of each class's exact solves, from nu down to its value:
+    # the refutations, 21 of them inside a tree that spacing masks, and the
+    # finds, all made before the first greedy slice
+    searches = nodes = 0
+    for pairs in _canonical_edge_subsets(6):
+        g = _graph_from_pairs(6, pairs)
+        for mode, exact in ((LINEAR, ms_exact), (CYCLIC, cms_exact)):
+            value = exact(g).value
+            for d in range(max_matching_size(g), max(value, 2) - 1, -1):
+                res = exists_ordering(g, d, mode)
+                found = res.status == VALUE_FOUND
+                assert found == (d == value), (pairs, mode, d)
+                assert _oracle_search(g, d, mode, twins=True, pin=True, spacing=True) == (
+                    found, res.nodes_explored), (pairs, mode, d)
+                searches += 1
+                nodes += res.nodes_explored
+    assert (searches, nodes) == (498, 5_474)
+
+
 @pytest.mark.parametrize("g,d,mode,nodes", [
-    # first window pinned (rule-free trees: 250 and 39,341)
+    # first window pinned on K5 and K7 (rule-free trees: 250 and 39,341);
+    # spacing empties C9's tree (each vertex needs 2 * 5 > 9 positions) and
+    # P8's (no edge may sit at position 4), which took 51 and 121 nodes
     (complete(5), 2, CYCLIC, 84),
-    (cycle(9), 5, CYCLIC, 51),
+    (cycle(9), 5, CYCLIC, 0),
     (circulant3(6), 6, CYCLIC, 2_652),
     (complete(7), 3, CYCLIC, 1_313),
-    (path(8), 4, LINEAR, 121),
+    (path(8), 4, LINEAR, 0),
     # twins, placed in ascending id (rule-free trees: 13,368, 557, 73, 84, 50)
     (multiply(complete(4), 4), 2, LINEAR, 48),
     (multiply(complete(4), 4), 2, CYCLIC, 8),
     (multiply(path(5), 2), 2, CYCLIC, 18),
     (multiply(complete(4), 2), 2, LINEAR, 24),
-    (attach_pendants(path(4), 1, 5), 2, LINEAR, 6),
+    # spacing: 7 edges at vertex 1 do not fit 2 apart in 8 positions (was 6)
+    (attach_pendants(path(4), 1, 5), 2, LINEAR, 0),
+    # spacing inside the tree: vertex 0, of degree 3 = R + 1 at d = 3, holds
+    # positions 1, 4 and 7, and the other four edges 2, 3, 5 and 6 (233 without)
+    (_graph_from_pairs(8, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (0, 6), (6, 7)]),
+     3, LINEAR, 114),
 ], ids=["K5", "C9", "circulant3_6", "K7", "P8", "4K4-linear", "4K4-cyclic",
-        "2P5-cyclic", "2K4-linear", "P4-5-pendants"])
+        "2P5-cyclic", "2K4-linear", "P4-5-pendants", "spider-3-2-2"])
 def test_refutations_replay_node_for_node(g, d, mode, nodes):
     res = exists_ordering(g, d, mode)
     assert res.status == NONEXISTENCE_CERTIFIED
     assert res.nodes_explored == nodes
-    assert _oracle_search(g, d, mode, twins=True, pin=True) == (False, nodes)
+    assert _oracle_search(g, d, mode, twins=True, pin=True, spacing=True) == (False, nodes)
     assert not _oracle_search(g, d, mode)[0]  # the rule-free tree refutes too
 
 
@@ -204,7 +255,8 @@ def test_pinned_solve_phases_replay_node_for_node(g, d, mode, found, nodes):
 def test_verify_cross_checks_replay_node_for_node():
     # every search of the exact solves of `verify --exact-up-to-edges 12`:
     # seeded with the construction, they refute d = nu down to the row's
-    # value + 1; the unseeded find at the row's value replays too
+    # value + 1; the unseeded find at the row's value replays too.  Spacing
+    # refutes the even paths' rows in 0 nodes (7,339 nodes before it)
     rows = [r for r in verify_families(exact_up_to_edges=12).rows
             if r.exact is not None]
     refutations = 0
@@ -215,10 +267,10 @@ def test_verify_cross_checks_replay_node_for_node():
             res = exists_ordering(g, d, row.mode)
             found = res.status == VALUE_FOUND
             assert found == (d == row.exact), (row.case, d)
-            assert _oracle_search(g, d, row.mode, twins=True, pin=True) == (
+            assert _oracle_search(g, d, row.mode, twins=True, pin=True, spacing=True) == (
                 found, res.nodes_explored), (row.case, d)
             if not found:
                 replayed += res.nodes_explored
                 refutations += 1
         assert replayed == row.nodes, row.case
-    assert (len(rows), refutations, sum(r.nodes for r in rows)) == (84, 36, 21_987)
+    assert (len(rows), refutations, sum(r.nodes for r in rows)) == (84, 36, 14_648)

@@ -14,7 +14,7 @@ from matchseq import solver
 from matchseq.catalog import _canonical_edge_subsets
 from matchseq.constructions import family_ordering
 from matchseq.errors import InvalidOrdering, InvalidTarget
-from matchseq.graphs import Graph, _graph_from_pairs
+from matchseq.graphs import Edge, Graph, _graph_from_pairs
 from matchseq.solver import (_GREEDY_SCANS, _first_window, _greedy_restarts, _tables,
                              _window_rule)
 
@@ -239,11 +239,19 @@ def test_depth_histogram_accounts_all_nodes():
     assert sum(res.depth_histogram) == res.nodes_explored
 
 
+_LOOSE_CLASS = [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3)]  # every edge meets 0 or 1
+_SPIDER = [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (0, 6), (6, 7)]  # legs 3, 2, 2
+
+
 def _differential_hosts() -> list[Graph]:
     """Every graph class on 5 labels with at most 7 edges, seeded random
-    multigraphs, two edge-doubled hosts, and three named twin hosts: a
-    star, a triangle with a pendant edge, and three copies of P3.  The
-    star is K_{1,5}, since K_{1,4} is already one of the classes."""
+    multigraphs, two edge-doubled hosts, three named twin hosts: a star, a
+    triangle with a pendant edge, and three copies of P3, and two named
+    hosts where spacing bites: P8 and a spider whose centre is tight at d
+    = 3.  The star is K_{1,5}, since K_{1,4} is already one of the
+    classes, and so is ``_LOOSE_CLASS``, labels included: the smallest
+    class whose linear value is below both the matching and the spacing
+    bound."""
     hosts = [_graph_from_pairs(5, pairs) for pairs in _canonical_edge_subsets(5)
              if len(pairs) <= 7]
     rng = random.Random(1109)
@@ -254,7 +262,7 @@ def _differential_hosts() -> list[Graph]:
         hosts.append(_graph_from_pairs(n, chosen, allow_parallel=True))
     return hosts + [multiply(path(3), 2), multiply(cycle(3), 2),
                     complete_bipartite(1, 5), attach_pendants(cycle(3), 0, 1),
-                    multiply(path(3), 3)]
+                    multiply(path(3), 3), path(8), _graph_from_pairs(8, _SPIDER)]
 
 
 def _best_by_enumeration(g: Graph, mode) -> int:
@@ -294,6 +302,36 @@ def test_greedy_restarts_yield_only_checked_witnesses(g):
                 assert sorted(seq) == list(range(m))
                 assert matching_number(EdgeOrdering(g, seq, mode)).value >= d
                 assert mode == LINEAR or seq[0] == 0
+
+
+@pytest.mark.parametrize("g,d,mode", [
+    (_graph_from_pairs(5, _LOOSE_CLASS), 2, LINEAR),
+    (_graph_from_pairs(6, [(0, 1), (0, 2), (0, 3), (4, 5)]), 2, LINEAR),
+    *((path(2 * k), k, mode) for k in range(2, 9) for mode in (LINEAR, CYCLIC)),
+], ids=["loose-class", "claw-and-edge"] + [f"P{2 * k}-{mode}" for k in range(2, 9)
+                                           for mode in ("linear", "cyclic")])
+def test_spacing_refutes_at_the_root(g, d, mode):
+    # the class: vertices 0 and 1 have degree 3 = R + 1 at d = 2 (m - 1 =
+    # 2R + s, s = 0), and every edge meets one, so position 2 may hold
+    # none.  The claw's centre, of degree 3 = R + 2, needs 5 positions of
+    # the 4, though every position may hold edge 45.  P_2k linear at d =
+    # k: every edge meets a vertex of degree 2 = R + 1 and s = k - 2, so
+    # position k may hold none; cyclic, a vertex of degree 2 needs 2k
+    # positions of the 2k - 1.  No node is visited
+    res = exists_ordering(g, d, mode)
+    assert (res.status, res.nodes_explored, res.depth_histogram) == (
+        NONEXISTENCE_CERTIFIED, 0, (0,) * g.num_edges)
+    assert list(_greedy_restarts(g, d, mode == CYCLIC, _tables(g)[0])) == []
+
+
+@pytest.mark.parametrize("k,nodes", [
+    (2, 2), (3, 36), (4, 192), (5, 1_220), (6, 9_072), (7, 77_364), (8, 743_936),
+])
+def test_spacing_leaves_trees_with_no_tight_index(k, nodes):
+    # C_2k linear at d = k: m - 1 = d + (d - 1), so s = d - 1 and every
+    # position may hold every edge; the tree keeps its count
+    res = exists_ordering(cycle(2 * k), k, LINEAR)
+    assert (res.status, res.nodes_explored) == (NONEXISTENCE_CERTIFIED, nodes)
 
 
 def _tables_by_definition(g: Graph):
@@ -423,6 +461,22 @@ def test_d1_on_a_long_path_builds_no_tables():
         tracemalloc.stop()
     assert peak < 16 * 2**20
     assert (res.status, res.nodes_explored) == (VALUE_FOUND, 0)
+
+
+def test_matching_bound_is_sized_by_the_edges():
+    # one edge among 400,000 vertices: nu = 1 is the answer, and the bound
+    # builds neighbour sets only for the two vertices with an edge (per
+    # vertex of the order, 88.6 MiB and past the one-second budget)
+    g = Graph(400_000, [Edge(0, 0, 1)])
+    tracemalloc.start()
+    try:
+        res = ms_exact(g, SolveBudget(max_seconds=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert (res.status, res.value, res.nodes_explored) == (VALUE_FOUND, 1, 0)
+    assert res.elapsed_seconds < 0.1
 
 
 def test_greedy_slice_stops_at_the_scan_limit():
