@@ -306,15 +306,13 @@ def max_matching_size(g: Graph) -> int:
     path keeps having none after later augmentations, so one search per
     root suffices.  Iterative, O(n^3) in the worst case.
 
-    A host whose order exceeds its 2m edge ends has isolated vertices; it
-    is matched on its vertices with edges alone, renumbered in ascending
-    order.  So no table outgrows O(m), whatever the order.
+    Isolated vertices match nothing: the host is matched on its vertices
+    with edges alone, renumbered in ascending order.  So no table outgrows
+    O(m), whatever the order.
     """
-    order, us, vs = g.order, g.us, g.vs
-    if order > 2 * len(us):
-        index = {v: i for i, v in enumerate(sorted({*us, *vs}))}
-        order, us, vs = len(index), [index[u] for u in us], [index[v] for v in vs]
-    nbrs = _neighbour_sets(order, us, vs)
+    index = {v: i for i, v in enumerate(sorted({*g.us, *g.vs}))}
+    order = len(index)
+    nbrs = _neighbour_sets(order, [index[u] for u in g.us], [index[v] for v in g.vs])
     mate = [-1] * order
     size = 0
     for v in range(order):
@@ -325,7 +323,7 @@ def max_matching_size(g: Graph) -> int:
                     size += 1
                     break
     for root in range(order):
-        if mate[root] < 0 and nbrs[root] and _augment(nbrs, mate, root):
+        if mate[root] < 0 and _augment(nbrs, mate, root):
             size += 1
     return size
 

@@ -3,16 +3,18 @@
 A window of one edge is a matching, so every ordering attains d = 1 in
 either mode: ``exists_ordering`` returns the identity at d = 1, in 0 nodes.
 Every d >= 2 runs through one budgeted search core, ``_search``, which
-decides one target d; ``exists_ordering`` validates and calls it once.
-``ms_exact``/``cms_exact`` validate and take two bounds: the
+decides one target d; ``exists_ordering`` validates and calls it at most
+once.  ``ms_exact``/``cms_exact`` validate and take two bounds: the
 maximum-matching bound ν above, and a floor L below, 1 or the value that
 ``matching_number`` re-checks of an optional seed, a known ordering of the
-same graph.  If ν > L they build the search tables once, in ``_tables``,
-then call the core for d = ν, ν-1, ..., L+1 under one absolute deadline,
-each d getting the node budget still left, possibly 0.  So a node-budget
-hit reports exactly ``max_nodes + 1`` nodes in total.  If every d is
-refuted, the seed is the witness (any ordering, unseeded), so a seed at ν
-costs no search at all; out of budget, the seed stays the witness.
+same graph.  They try d = ν, ν-1, ..., L+1 under one absolute deadline:
+a d that the spacing rule below refutes costs 0 nodes, and the first
+other d builds the search tables, once, in ``_tables``; the core then
+runs each such d with the node budget still left, possibly 0.  So a
+node-budget hit reports exactly ``max_nodes + 1`` nodes in total.  If
+every d is refuted, the seed is the witness (any ordering, unseeded), so
+a seed at ν costs no search at all; out of budget, the seed stays the
+witness.
 
 The core places edges into positions 1..m depth-first, in one loop over m
 preallocated slots per position, so its depth is not bounded by Python's
@@ -38,7 +40,8 @@ m - 1 = R*d + s and 0 <= s < d, it needs r <= R + 1, and a vertex of degree
 R + 1 has its edges at positions p with (p-1) mod d <= s: every other
 index holds only edges with no such endpoint.  A tree that breaks the
 degree bound, or has an index that may hold no edge, is refuted in 0
-nodes: P16 linear d=8, which took 442,193 nodes before the rule, is one.
+nodes, before any table is built: P16 linear d=8, which took 442,193
+nodes before the rule, is one.
 Where some index is tight, a placed node pays one more AND, folded into
 W; elsewhere it pays nothing.  Every ordering of value >= d obeys the
 rule, the ones the symmetry rules below keep included, so it needs no
@@ -148,7 +151,8 @@ def exists_ordering(g: Graph, d: int, mode: Mode,
     or a budget_exceeded result.  The time budget and ``elapsed_seconds``
     cover building the search tables, ``_tables``, as well as the search.
     d = 1 needs no search: the identity ordering, in 0 nodes, whatever the
-    budget.
+    budget.  Nor does a target that ``_spacing`` refutes: the certificate,
+    in 0 nodes, comes before the tables are built.
     """
     m = g.num_edges
     if m == 0:
@@ -161,28 +165,30 @@ def exists_ordering(g: Graph, d: int, mode: Mode,
     if d == 1:  # any ordering attains 1
         return SolveResult(VALUE_FOUND, 1, EdgeOrdering(g, tuple(range(m)), mode),
                            0, (0,) * m, time.perf_counter() - t0)
-    res = _search(g, d, mode, _tables(g), degrees(g), budget.max_nodes,
+    degree = degrees(g)
+    room = _spacing(g, d, mode == CYCLIC, degree)
+    if room is None:
+        return SolveResult(NONEXISTENCE_CERTIFIED, None, None, 0, (0,) * m,
+                           time.perf_counter() - t0)
+    res = _search(g, d, mode, _tables(g), degree, room, budget.max_nodes,
                   t0 + budget.max_seconds)
     return replace(res, elapsed_seconds=time.perf_counter() - t0)
 
 
 def _search(g: Graph, d: int, mode: Mode,
             tables: tuple[list[int], list[int], int, tuple[int, ...]],
-            degree: list[int], max_nodes: int, deadline: float,
+            degree: list[int], room: list[int], max_nodes: int, deadline: float,
             heuristic: bool = True) -> SolveResult:
     """Decide target d >= 2 on validated input: budget_exceeded at node
     max_nodes + 1 or at the first checkpoint past ``deadline``, a
-    perf_counter value.  ``tables`` is ``_tables(g)`` and ``degree`` is
-    ``degrees(g)``; a tree that ``_spacing`` leaves empty is refuted in 0
-    nodes.  The greedy restarts run at the checkpoints only if
-    ``heuristic``.  The caller times the call: ``elapsed_seconds`` is left
-    at 0."""
+    perf_counter value.  ``tables`` is ``_tables(g)``, ``degree`` is
+    ``degrees(g)`` and ``room`` is what ``_spacing`` gives at d, not None:
+    the caller refutes that case in 0 nodes.  The greedy restarts run at
+    the checkpoints only if ``heuristic``.  The caller times the call:
+    ``elapsed_seconds`` is left at 0."""
     m = g.num_edges
     compat, flip, free, window = tables  # free: unplaced, every lower twin placed
     cyclic = mode == CYCLIC
-    room = _spacing(g, d, cyclic, degree)
-    if room is None:
-        return SolveResult(NONEXISTENCE_CERTIFIED, None, None, 0, (0,) * m)
     step = _window_rule(m, d, cyclic, compat, room)
     last = m - 1
     pin = window[:d] or ((0,) if cyclic else ())  # the pinned prefix
@@ -222,7 +228,7 @@ def _search(g: Graph, d: int, mode: Mode,
             check_at = min((nodes // _BUDGET_CHECK_STRIDE + 1) * _BUDGET_CHECK_STRIDE,
                            max_nodes + 1)
             if heuristic and nodes > 1 and p < last:  # run one greedy slice
-                greedy = greedy or _greedy_restarts(g, d, cyclic, compat)
+                greedy = greedy or _greedy_restarts(g, d, cyclic, compat, degree, room)
                 work, found = next(greedy)
                 placed += work
                 if found:
@@ -296,20 +302,19 @@ def _spacing(g: Graph, d: int, cyclic: bool, degree: list[int]) -> list[int] | N
     return [full if i % d <= s else loose for i in range(m + 1)] if loose else None
 
 
-def _window_rule(m: int, d: int, cyclic: bool, compat: list[int],
-                 room: list[int] | None = None):
+def _window_rule(m: int, d: int, cyclic: bool, compat: list[int], room: list[int]):
     """The solver's one candidate rule at d >= 2, as ``step(i, e) -> W_{i+1}``.
 
     Call ``step(i, e)`` when edge e is placed at index i < m-1; pops need no
     call.  W_{i+1} ANDs ``room[i+2]``, the edges ``_spacing`` lets index i+2
-    hold (all, if ``room`` is None), with the compat masks of the edges
-    that index i+2 sees but index i+1: indices max(0, i-d+3)..i and, cyclic
-    only, 0..i+d+1-m.  So a candidate f of index i+1 has the successors
-    ``free & W_{i+1} & compat[f]``; W_0 is ``room[1]``, and index 0 takes
-    every edge.  Sliding-window ANDs by block prefixes and
-    suffixes (van Herk, Pattern Recogn. Lett. 13, 1992; Gil and Werman, IEEE
-    TPAMI 15, 1993): in blocks of k = d-1 indices, the window i-k+2..i is
-    ``pre[i] & suf[i+2]``, or ``suf[i+2]`` alone where i ends its block.
+    hold, with the compat masks of the edges that index i+2 sees but index
+    i+1: indices max(0, i-d+3)..i and, cyclic only, 0..i+d+1-m.  So a
+    candidate f of index i+1 has the successors ``free & W_{i+1} &
+    compat[f]``; W_0 is ``room[1]``, and index 0 takes every edge.
+    Sliding-window ANDs by block prefixes and suffixes (van Herk, Pattern
+    Recogn. Lett. 13, 1992; Gil and Werman, IEEE TPAMI 15, 1993): in blocks
+    of k = d-1 indices, the window i-k+2..i is ``pre[i] & suf[i+2]``, or
+    ``suf[i+2]`` alone where i ends its block.
     ``pre[i]`` ANDs from i's block start to i, ``suf[j+k]`` from j to its
     block's end (all ones where j is a block start or negative), rebuilt in
     O(k) from ``at`` when that end is placed: once per entry into a block.
@@ -320,7 +325,7 @@ def _window_rule(m: int, d: int, cyclic: bool, compat: list[int],
     before they are read.  Memory: two m-bit masks per position.
     """
     full = (1 << m) - 1
-    spaced = room is not None and min(room) < full  # else skip room's AND
+    spaced = min(room) < full  # else skip room's AND
     k = d - 1
     pre = [full] * m
     suf = [full] * (m + k)
@@ -345,7 +350,8 @@ def _window_rule(m: int, d: int, cyclic: bool, compat: list[int],
     return step
 
 
-def _greedy_restarts(g: Graph, d: int, cyclic: bool, compat: list[int]):
+def _greedy_restarts(g: Graph, d: int, cyclic: bool, compat: list[int],
+                     degree: list[int], room: list[int]):
     """Seeded greedy restarts towards an ordering of matching number >= d.
 
     Runs in slices: each ``next`` resumes the restarts, a cut-off scan
@@ -355,15 +361,10 @@ def _greedy_restarts(g: Graph, d: int, cyclic: bool, compat: list[int]):
     sequences, twins go in any order) whose two endpoints have the most
     unplaced edges, ties broken by a fixed-seed ``random.Random``.  A
     restart with no candidate left is dropped and the next one begins.
-    ``_search`` re-checks finished sequences like any DFS witness.  If
-    ``_spacing`` leaves the tree empty, there is nothing to find: the
-    generator ends at once.
+    ``_search`` re-checks finished sequences like any DFS witness.
+    ``degree`` and ``room`` are ``_search``'s own.
     """
     m = g.num_edges
-    degree = degrees(g)
-    room = _spacing(g, d, cyclic, degree)
-    if room is None:
-        return
     step = _window_rule(m, d, cyclic, compat, room)
     ends = list(zip(g.us, g.vs))
     rand = random.Random(_GREEDY_SEED).random
@@ -508,13 +509,19 @@ def _exact(g: Graph, mode: Mode, budget: SolveBudget,
         floor = matching_number(seed).value
     nu = max_matching_size(g)
     if nu > floor:  # else no d is searched
-        tables, degree = _tables(g), degrees(g)
+        degree = degrees(g)
+    tables = None  # built for the first d that spacing does not refute
     nodes = placed = 0
     hist = [0] * m
     certified: int | None = None
     for d in range(nu, floor, -1):
-        res = _search(g, d, mode, tables, degree, budget.max_nodes - nodes, deadline,
-                      heuristic=seed is None)
+        room = _spacing(g, d, mode == CYCLIC, degree)
+        if room is None:  # refuted in 0 nodes
+            certified = d
+            continue
+        tables = tables or _tables(g)
+        res = _search(g, d, mode, tables, degree, room, budget.max_nodes - nodes,
+                      deadline, heuristic=seed is None)
         nodes += res.nodes_explored
         placed += res.greedy_placements
         hist = [a + b for a, b in zip(hist, res.depth_histogram)]

@@ -17,8 +17,8 @@ from matchseq import (FamilySpec, attach_pendants, biadjacency_layout, circulant
                       write_edge_list, write_ordering)
 from matchseq.catalog import _canonical_edge_subsets
 from matchseq.errors import FormatError
-from matchseq.graphs import Edge, Graph, _graph_from_pairs, _lines
-from matchseq.solver import _greedy_restarts, _tables
+from matchseq.graphs import Edge, Graph, _graph_from_pairs, _lines, degrees
+from matchseq.solver import _greedy_restarts, _spacing, _tables
 
 
 def _reference_edges(pairs) -> tuple:
@@ -120,7 +120,9 @@ def test_hot_paths_do_not_read_edges(monkeypatch):
     compat, flip, start, pin = _tables(multiply(complete(4), 2))
     assert len(compat) == len(flip) == 12 and pin == ()
     assert _tables(complete(6))[3] == (0, 9, 14)
-    placed, found = next(_greedy_restarts(complete(5), 2, False, _tables(complete(5))[0]))
+    k5, degree = complete(5), degrees(complete(5))
+    room = _spacing(k5, 2, False, degree)
+    placed, found = next(_greedy_restarts(k5, 2, False, _tables(k5)[0], degree, room))
     assert placed and found is not None
     assert ms_exact(complete(5)).value == 2
 

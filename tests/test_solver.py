@@ -14,9 +14,17 @@ from matchseq import solver
 from matchseq.catalog import _canonical_edge_subsets
 from matchseq.constructions import family_ordering
 from matchseq.errors import InvalidOrdering, InvalidTarget
-from matchseq.graphs import Edge, Graph, _graph_from_pairs
-from matchseq.solver import (_GREEDY_SCANS, _first_window, _greedy_restarts, _tables,
-                             _window_rule)
+from matchseq.graphs import Edge, Graph, _graph_from_pairs, degrees
+from matchseq.solver import (_GREEDY_SCANS, _first_window, _greedy_restarts, _spacing,
+                             _tables, _window_rule)
+
+
+def _restarts(g, d, cyclic):
+    """The greedy restarts with the tables, degrees and room that
+    ``_search`` hands them; d must leave ``_spacing`` a tree."""
+    degree = degrees(g)
+    return _greedy_restarts(g, d, cyclic, _tables(g)[0], degree,
+                            _spacing(g, d, cyclic, degree))
 
 
 def test_k5_cyclic_d2_nonexistence():
@@ -290,11 +298,13 @@ def test_greedy_restarts_yield_only_checked_witnesses(g):
     # the DFS of these hosts ends before its first checkpoint, so the
     # differential test above never runs the heuristic: drive it directly
     m = g.num_edges
-    compat = _tables(g)[0]
     for mode in (LINEAR, CYCLIC):
         best = _best_by_enumeration(g, mode)
         for d in range(2, m + 1):  # d = 1 is answered with no search
-            gen = _greedy_restarts(g, d, mode == CYCLIC, compat)
+            if _spacing(g, d, mode == CYCLIC, degrees(g)) is None:
+                assert d > best, (mode, d)  # refuted before any search
+                continue
+            gen = _restarts(g, d, mode == CYCLIC)
             found = [s for _, s in itertools.islice(gen, 4) if s]
             # every reachable target is met within four slices on this corpus
             assert bool(found) == (d <= best), (mode, d)
@@ -321,7 +331,7 @@ def test_spacing_refutes_at_the_root(g, d, mode):
     res = exists_ordering(g, d, mode)
     assert (res.status, res.nodes_explored, res.depth_histogram) == (
         NONEXISTENCE_CERTIFIED, 0, (0,) * g.num_edges)
-    assert list(_greedy_restarts(g, d, mode == CYCLIC, _tables(g)[0])) == []
+    assert _spacing(g, d, mode == CYCLIC, degrees(g)) is None
 
 
 @pytest.mark.parametrize("k,nodes", [
@@ -415,7 +425,7 @@ def test_window_rule_matches_its_definition(g, mode):
     rng = random.Random(m)
     compat, flip, start, _ = _tables(g)
     for d in range(2, m + 1):
-        step = _window_rule(m, d, cyclic, compat)
+        step = _window_rule(m, d, cyclic, compat, [full] * (m + 1))
         seq, free, ws = [], start, [full]  # ws[i]: W_i
         for depth in [0, 0] + [rng.randrange(m - 1) for _ in range(4)]:
             while len(seq) > depth:
@@ -463,6 +473,35 @@ def test_d1_on_a_long_path_builds_no_tables():
     assert (res.status, res.nodes_explored) == (VALUE_FOUND, 0)
 
 
+def test_spacing_refutes_a_long_path_before_the_tables():
+    # P20000 linear at d = 10,000: every edge meets a vertex of degree 2 =
+    # R + 1 and s = d - 2, so position d may hold none.  The tables alone,
+    # m masks of m bits, took 1.74 s and 113.5 MiB before this refutation
+    g = path(20000)
+    tracemalloc.start()
+    try:
+        res = exists_ordering(g, 10_000, LINEAR)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert (res.status, res.nodes_explored, res.depth_histogram) == (
+        NONEXISTENCE_CERTIFIED, 0, (0,) * g.num_edges)
+
+
+def test_exact_builds_no_tables_for_targets_spacing_refutes(monkeypatch):
+    # P4 has nu = 2, but spacing refutes d = 2 in both modes: linear, each
+    # edge meets a vertex of degree 2 = R + 1 and position 2 may hold none;
+    # cyclic, a vertex of degree 2 needs 4 of the 3 positions
+    def unused(*args):
+        raise AssertionError("built for a target that spacing refutes")
+
+    monkeypatch.setattr(solver, "_tables", unused)
+    for exact in (ms_exact, cms_exact):
+        res = exact(path(4))
+        assert (res.status, res.value, res.nodes_explored) == (VALUE_FOUND, 1, 0)
+
+
 def test_matching_bound_is_sized_by_the_edges():
     # one edge among 400,000 vertices: nu = 1 is the answer, and the bound
     # builds neighbour sets only for the two vertices with an edge (per
@@ -483,7 +522,7 @@ def test_greedy_slice_stops_at_the_scan_limit():
     # K60 has 1,770 edges: scoring position 1 spans two slices, and each
     # slice stops after _GREEDY_SCANS candidates
     g = complete(60)
-    gen = _greedy_restarts(g, 3, False, _tables(g)[0])
+    gen = _restarts(g, 3, False)
     assert _GREEDY_SCANS < g.num_edges
     assert next(gen) == (0, None)
     assert next(gen) == (1, None)
@@ -518,7 +557,7 @@ def test_refutation_runs_the_heuristic_without_moving_its_count():
     res = exists_ordering(g, 6, LINEAR)
     assert res.status == NONEXISTENCE_CERTIFIED
     assert res.nodes_explored == 49_788
-    gen = _greedy_restarts(g, 6, False, _tables(g)[0])
+    gen = _restarts(g, 6, False)
     slices = [next(gen) for _ in range(res.nodes_explored // 4096)]
     assert len(slices) == 12 and all(found is None for _, found in slices)
     assert res.greedy_placements == sum(work for work, _ in slices) == 1_435
