@@ -155,6 +155,9 @@ def _cmd_solve(args) -> int:
     payload = result.summary_dict()
     payload["mode"] = args.mode
     payload["target"] = args.target
+    # the value the seed proves, which an out-of-budget solve leaves unset
+    payload["seed_value"] = (orderings.matching_number(seed).value
+                             if seed is not None else None)
     payload["witness"] = (orderings.write_ordering(result.witness).strip()
                           if result.witness is not None else None)
     print(json.dumps(payload, indent=2))

@@ -91,7 +91,7 @@ class RotationScheme:
         return len(self.base)
 
     def ordering(self, g: Graph, mode: Mode) -> EdgeOrdering:
-        n, index = g.order, g._pair_index
+        n, lookup = g.order, g._pair_lookup
         listed = [0] * g.num_edges  # listings so far, by the pair's first-copy id
         rotation = self.rotation
         seq = []
@@ -100,7 +100,7 @@ class RotationScheme:
             for a, b in block:
                 # Graph.edge_ids_between, inlined for speed: the range check comes
                 # first because the int key aliases out-of-range pairs
-                ids = (index.get(a * n + b if a < b else b * n + a)
+                ids = (lookup(a * n + b if a < b else b * n + a)
                        if 0 <= a < n and 0 <= b < n else None)
                 if not ids:
                     raise ValueError(f"no edge {{{a},{b}}} in graph")

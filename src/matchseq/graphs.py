@@ -26,9 +26,15 @@ duplicate rule; every graph from outside runs all of them.
 A vertex pair ``u < v`` is keyed by the int ``u * order + v``
 (:func:`_pair_keys`): the duplicate rule counts these keys, and
 :meth:`Graph.edge_ids_between`, the ordering reader and the rotation
-schemes look edges up by them.  The key is one-to-one only on pairs inside
-``[0, order)``: on K_5, ``0*5 + 8 == 1*5 + 3``, so a pair is range-checked
-before it is keyed, and a pair outside the range is no edge.
+schemes look edges up by them, through ``Graph._pair_lookup``, which maps
+a key to the pair's edge ids, or None for no edge.  The key is one-to-one
+only on pairs inside ``[0, order)``: on K_5, ``0*5 + 8 == 1*5 + 3``, so a
+pair is range-checked before it is keyed, and a pair outside the range is
+no edge.  The hosts that ``complete`` and ``complete_bipartite`` build
+answer by arithmetic on the key, from their id formulas, and hold no
+table per edge; every other graph (read from a file, rebuilt by
+``Graph(...)``, multiplied, with pendants, a cycle, path or circulant)
+reads the dict ``Graph._pair_index``, built on first use.
 
 Edge-list text format: a header line, then one line per edge with 0-based
 endpoints; the edge id is the line order, and ``#`` starts a comment only
@@ -45,7 +51,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count, repeat
 from operator import add, eq, lt, mul
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import FormatError, InvalidFamilyParams, InvalidVertex
 
@@ -122,6 +128,23 @@ class Graph:
         return len(self.us)
 
     @cached_property
+    def _pair_lookup(self) -> Callable[[int], tuple[int, ...] | None]:
+        """Pair key ``u * order + v`` -> ids of the edges joining u <= v,
+        ascending, or None when there is none.  ``_pair_index.get`` here;
+        ``complete`` and ``complete_bipartite`` set an arithmetic one on the
+        hosts they build (:func:`_complete_lookup`,
+        :func:`_bipartite_lookup`).  Like the index, it is defined on keys
+        of in-range pairs only, so readers range-check first; a hot loop
+        fetches it once."""
+        return self._pair_index.get
+
+    def __getstate__(self) -> dict:
+        """What pickle and copy keep: all but ``_pair_lookup``, which a
+        builder sets to a closure that pickle cannot store.  A copy looks
+        pairs up by the dict, with the same answers."""
+        return {k: v for k, v in self.__dict__.items() if k != "_pair_lookup"}
+
+    @cached_property
     def _pair_index(self) -> dict[int, tuple[int, ...]]:
         """Pair key ``u * order + v`` -> ids of the edges joining u < v,
         ascending.
@@ -148,7 +171,7 @@ class Graph:
             a, b = b, a
         if a < 0 or b >= n:
             return ()
-        return self._pair_index.get(a * n + b, ())
+        return self._pair_lookup(a * n + b) or ()
 
 
 def _pair_keys(order: int, us: Iterable[int], vs: Iterable[int]) -> Iterator[int]:
@@ -178,27 +201,66 @@ def complete(n: int) -> Graph:
     """K_n with lexicographic edge ids: (0,1), (0,2), ..., (n-2,n-1).
 
     The pairs are distinct: they are listed in strictly increasing
-    lexicographic order, u ascending and v ascending within each u.
+    lexicographic order, u ascending and v ascending within each u.  Rows
+    0..a-1 hold (n-1) + ... + (n-a) = a(2n-a-1)/2 edges, so the id of
+    {a < b} is a(2n-a-3)/2 + b - 1, which the host's pair lookup computes.
     """
     if n < 1:
         raise InvalidFamilyParams(f"complete requires n >= 1, got {n}")
     verts = tuple(range(n))  # u repeated n-1-u times, each next to u+1..n-1
-    return _from_columns(n, tuple(chain.from_iterable(map(repeat, verts, verts[::-1]))),
-                         tuple(chain.from_iterable(verts[u + 1:] for u in verts)),
-                         distinct=True)
+    g = _from_columns(n, tuple(chain.from_iterable(map(repeat, verts, verts[::-1]))),
+                      tuple(chain.from_iterable(verts[u + 1:] for u in verts)),
+                      distinct=True)
+    object.__setattr__(g, "_pair_lookup", _complete_lookup(n))
+    return g
+
+
+def _complete_lookup(n: int) -> Callable[[int], tuple[int, ...] | None]:
+    """The pair lookup of ``complete(n)``.  The key k = a*n + b of {a <= b}
+    gives a = k // n, and b > a iff k > a(n+1); then the id is
+    a(2n-a-3)/2 + b - 1 = ``offset[a] + k``.  So a == b is no edge."""
+    diagonal = tuple(range(0, n * (n + 1), n + 1))  # a(n+1), the key of {a, a}
+    offset = tuple(a * (2 * n - a - 3) // 2 - 1 - a * n for a in range(n))
+
+    def lookup(key: int) -> tuple[int, ...] | None:
+        a = key // n
+        if key > diagonal[a]:
+            return (offset[a] + key,)
+        return None
+
+    return lookup
 
 
 def complete_bipartite(p: int, q: int) -> Graph:
     """K_{p,q}: left vertices 0..p-1, right p..p+q-1, ids row-major.
 
     The pairs are distinct: row u lists each column p..p+q-1 once, and
-    edges of different rows differ in u.
+    edges of different rows differ in u.  So the id of {a, b} with
+    a < p <= b is a*q + (b - p), which the host's pair lookup computes.
     """
     if p < 1 or q < 1:
         raise InvalidFamilyParams(f"complete_bipartite requires p,q >= 1, got ({p},{q})")
     # row i repeated q times, each next to the columns p..p+q-1
-    return _from_columns(p + q, tuple(chain.from_iterable(map(repeat, range(p), repeat(q, p)))),
-                         tuple(range(p, p + q)) * p, distinct=True)
+    g = _from_columns(p + q, tuple(chain.from_iterable(map(repeat, range(p), repeat(q, p)))),
+                      tuple(range(p, p + q)) * p, distinct=True)
+    object.__setattr__(g, "_pair_lookup", _bipartite_lookup(p, q))
+    return g
+
+
+def _bipartite_lookup(p: int, q: int) -> Callable[[int], tuple[int, ...] | None]:
+    """The pair lookup of ``complete_bipartite(p, q)``.  The key k = a*n + b
+    of {a <= b}, n = p + q, gives a = k // n and b = k - a*n; an edge needs
+    a < p <= b, and its id a*q + b - p is k - p(a+1), as n - q = p.  So two
+    vertices on one side, a == b included, are no edge."""
+    n = p + q
+
+    def lookup(key: int) -> tuple[int, ...] | None:
+        a = key // n
+        if a < p <= key - a * n:
+            return (key - p * (a + 1),)
+        return None
+
+    return lookup
 
 
 def cycle(n: int) -> Graph:

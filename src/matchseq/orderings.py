@@ -208,7 +208,7 @@ def read_ordering(text: str, g: Graph, mode: Mode) -> EdgeOrdering:
     if len(tokens) != g.num_edges:
         raise FormatError(
             f"expected {g.num_edges} ordering tokens, found {len(tokens)}", 1)
-    n, index = g.order, g._pair_index
+    n, lookup = g.order, g._pair_lookup
     seq = []
     for k, token in enumerate(tokens):
         body, _, copy = token.partition("#")
@@ -220,7 +220,7 @@ def read_ordering(text: str, g: Graph, mode: Mode) -> EdgeOrdering:
             raise FormatError(f"bad ordering token {token!r} (index {k})", 1) from None
         # Graph.edge_ids_between, inlined for speed: the range check comes
         # first because the int key aliases out-of-range pairs
-        ids = (index.get(u * n + v if u < v else v * n + u)
+        ids = (lookup(u * n + v if u < v else v * n + u)
                if 0 <= u < n and 0 <= v < n else None)
         if not ids:
             raise FormatError(f"token {token!r}: no edge {{{u},{v}}} in graph", 1)

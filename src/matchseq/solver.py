@@ -9,8 +9,9 @@ maximum-matching bound ν above, and a floor L below, 1 or the value that
 ``matching_number`` re-checks of an optional seed, a known ordering of the
 same graph.  They try d = ν, ν-1, ..., L+1 under one absolute deadline:
 a d that the spacing rule below refutes costs 0 nodes, and the first
-other d builds the search tables, once, in ``_tables``; the core then
-runs each such d with the node budget still left, possibly 0.  So a
+other d builds the search tables, once, in ``_tables``, which stops in
+0 nodes if the deadline passes first; the core then runs each such d
+with the node budget still left, possibly 0.  So a
 node-budget hit reports exactly ``max_nodes + 1`` nodes in total.  If
 every d is refuted, the seed is the witness (any ordering, unseeded), so
 a seed at ν costs no search at all; out of budget, the seed stays the
@@ -87,9 +88,11 @@ certificate.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 from .errors import InvalidOrdering, InvalidTarget
 from .graphs import Graph, degrees, max_matching_size
@@ -149,7 +152,8 @@ def exists_ordering(g: Graph, d: int, mode: Mode,
     Returns a witness ordering on success (post-validated through the
     independent checker), a nonexistence certificate on full exhaustion,
     or a budget_exceeded result.  The time budget and ``elapsed_seconds``
-    cover building the search tables, ``_tables``, as well as the search.
+    cover building the search tables, ``_tables``, as well as the search:
+    tables still unbuilt at the deadline end the solve in 0 nodes.
     d = 1 needs no search: the identity ordering, in 0 nodes, whatever the
     budget.  Nor does a target that ``_spacing`` refutes: the certificate,
     in 0 nodes, comes before the tables are built.
@@ -170,23 +174,27 @@ def exists_ordering(g: Graph, d: int, mode: Mode,
     if room is None:
         return SolveResult(NONEXISTENCE_CERTIFIED, None, None, 0, (0,) * m,
                            time.perf_counter() - t0)
-    res = _search(g, d, mode, _tables(g), degree, room, budget.max_nodes,
-                  t0 + budget.max_seconds)
+    deadline = t0 + budget.max_seconds
+    res = _search(g, d, mode, _tables(g, deadline), degree, room, budget.max_nodes,
+                  deadline)
     return replace(res, elapsed_seconds=time.perf_counter() - t0)
 
 
 def _search(g: Graph, d: int, mode: Mode,
-            tables: tuple[list[int], list[int], int, tuple[int, ...]],
+            tables: tuple[list[int], list[int], int, tuple[int, ...]] | None,
             degree: list[int], room: list[int], max_nodes: int, deadline: float,
             heuristic: bool = True) -> SolveResult:
     """Decide target d >= 2 on validated input: budget_exceeded at node
     max_nodes + 1 or at the first checkpoint past ``deadline``, a
-    perf_counter value.  ``tables`` is ``_tables(g)``, ``degree`` is
-    ``degrees(g)`` and ``room`` is what ``_spacing`` gives at d, not None:
-    the caller refutes that case in 0 nodes.  The greedy restarts run at
+    perf_counter value.  ``tables`` is ``_tables(g, deadline)``: None, a
+    set-up that ran past the deadline, is budget_exceeded in 0 nodes.
+    ``degree`` is ``degrees(g)`` and ``room`` is what ``_spacing`` gives at
+    d, not None: the caller refutes that case in 0 nodes.  The greedy restarts run at
     the checkpoints only if ``heuristic``.  The caller times the call:
     ``elapsed_seconds`` is left at 0."""
     m = g.num_edges
+    if tables is None:
+        return SolveResult(BUDGET_EXCEEDED, None, None, 0, (0,) * m)
     compat, flip, free, window = tables  # free: unplaced, every lower twin placed
     cyclic = mode == CYCLIC
     step = _window_rule(m, d, cyclic, compat, room)
@@ -410,8 +418,15 @@ def _greedy_restarts(g: Graph, d: int, cyclic: bool, compat: list[int],
             w = step(len(seq) - 1, e)
 
 
-def _tables(g: Graph) -> tuple[list[int], list[int], int, tuple[int, ...]]:
-    """The search's tables, ``(compat, flip, start, window)``.
+def _tables(g: Graph, deadline: float = math.inf
+            ) -> tuple[list[int], list[int], int, tuple[int, ...]] | None:
+    """The search's tables, ``(compat, flip, start, window)``, or None once
+    ``deadline``, a perf_counter value, has passed.  The masks are built in
+    slices of ``_BUDGET_CHECK_STRIDE`` edges (:func:`_slices`), one pass
+    for ``flip`` and the incidence masks, one for ``compat`` and the twin
+    classes, and the deadline is tested between the slices of a pass.  So
+    set-up runs under the time budget too, and a graph of at most one slice
+    never tests it.
 
     ``compat[e]`` is the bitmask of edges sharing no endpoint with e.  It
     is built from per-vertex incidence masks, so e itself and its parallel
@@ -450,22 +465,41 @@ def _tables(g: Graph) -> tuple[list[int], list[int], int, tuple[int, ...]]:
     (s >= 4), w on x's side in K_{A,B}; disjoint edges e and f differ on
     f, which meets f but not e.
     """
-    m = g.num_edges
-    flip = [1 << e for e in range(m)]
+    m, us, vs = g.num_edges, g.us, g.vs
+    flip: list[int] = []
     incident = [0] * g.order
-    for bit, u, v in zip(flip, g.us, g.vs):
-        incident[u] |= bit
-        incident[v] |= bit
+    for part in _slices(m, deadline):
+        bits = [1 << e for e in range(m)[part]]
+        flip += bits
+        for bit, u, v in zip(bits, us[part], vs[part]):
+            incident[u] |= bit
+            incident[v] |= bit
+    if len(flip) < m:  # the deadline passed
+        return None
     start = full = (1 << m) - 1
-    compat = [full ^ (incident[u] | incident[v]) for u, v in zip(g.us, g.vs)]
+    compat: list[int] = []
     classes: dict[int, list[int]] = {}
-    for e, mask in enumerate(compat):
-        classes.setdefault(mask, []).append(e)
+    for part in _slices(m, deadline):
+        masks = [full ^ (incident[u] | incident[v]) for u, v in zip(us[part], vs[part])]
+        for e, mask in enumerate(masks, part.start):
+            classes.setdefault(mask, []).append(e)
+        compat += masks
+    if len(compat) < m:
+        return None
     for ids in classes.values():
         for lo, hi in zip(ids, ids[1:]):  # ascending: flip[hi] is still a bit
             flip[lo] |= flip[hi]
             start ^= flip[hi]
     return compat, flip, start, _first_window(g)
+
+
+def _slices(m: int, deadline: float) -> Iterator[slice]:
+    """Edge ids 0..m-1 in slices of ``_BUDGET_CHECK_STRIDE``; before each
+    slice but the first, stop if ``deadline`` has passed."""
+    for lo in range(0, m, _BUDGET_CHECK_STRIDE):
+        if lo and time.perf_counter() > deadline:
+            return
+        yield slice(lo, lo + _BUDGET_CHECK_STRIDE)
 
 
 def _first_window(g: Graph) -> tuple[int, ...]:
@@ -519,7 +553,7 @@ def _exact(g: Graph, mode: Mode, budget: SolveBudget,
         if room is None:  # refuted in 0 nodes
             certified = d
             continue
-        tables = tables or _tables(g)
+        tables = tables or _tables(g, deadline)
         res = _search(g, d, mode, tables, degree, room, budget.max_nodes - nodes,
                       deadline, heuristic=seed is None)
         nodes += res.nodes_explored

@@ -297,6 +297,29 @@ def test_solve_seeded_with_an_ordering(capsys, tmp_path):
     assert payload["witness"] == ordering.read_text().strip()
 
 
+def test_solve_reports_the_seed_value(capsys, tmp_path):
+    # out of budget, value and certified_upper are unset, and the seed, the
+    # witness, proves 3: seed_value says so
+    code, _, _ = run_cli(capsys, "construct", "--family", "complete", "--params", "9",
+                         "--mode", "cyclic", "--out", str(tmp_path / "k9.ord"),
+                         "--graph-out", str(tmp_path / "k9.txt"))
+    assert code == 0
+    graph, ordering = tmp_path / "k9.txt", tmp_path / "k9.ord"
+    code, out, _ = run_cli(capsys, "solve", "--graph", str(graph), "--mode", "cyclic",
+                           "--ordering", str(ordering), "--budget-seconds", "0.000001")
+    assert code == 3
+    payload = json.loads(out)
+    assert (payload["status"], payload["value"], payload["certified_upper"],
+            payload["seed_value"]) == ("budget_exceeded", None, None, 3)
+    assert payload["witness"] == ordering.read_text().strip()
+    code, out, _ = run_cli(capsys, "solve", "--graph", str(graph), "--mode", "linear",
+                           "--ordering", str(ordering), "--budget-seconds", "0.000001")
+    assert json.loads(out)["seed_value"] == 3  # K9's construction, read linearly
+    code, out, _ = run_cli(capsys, "solve", "--graph", str(graph), "--mode", "cyclic",
+                           "--budget-seconds", "0.000001")
+    assert code == 3 and json.loads(out)["seed_value"] is None
+
+
 def test_solve_ordering_with_target_exit2(capsys, tmp_path):
     graph, ordering = _k8_cyclic_files(capsys, tmp_path)
     code, out, err = run_cli(capsys, "solve", "--graph", str(graph), "--mode", "cyclic",

@@ -1,12 +1,17 @@
 import itertools
+import pickle
 import random
+import tracemalloc
 
 import pytest
 
-from matchseq import (Edge, FamilySpec, attach_pendants, build_family,
-                      circulant3, complete, complete_bipartite, cycle, degrees,
-                      is_connected, is_tree, max_matching_size, multiply, path,
-                      random_tree, read_edge_list, write_edge_list)
+from matchseq import (CYCLIC, LINEAR, Edge, FamilySpec, attach_pendants,
+                      biadjacency_layout, build_family, circulant3,
+                      cms_complete_even, complete, complete_bipartite, cycle,
+                      degrees, is_connected, is_tree, max_matching_size,
+                      ms_complete_bipartite, multiply, path, random_ordering,
+                      random_tree, read_edge_list, read_ordering,
+                      render_biadjacency, write_edge_list, write_ordering)
 from matchseq.errors import FormatError, InvalidFamilyParams, InvalidVertex
 from matchseq.catalog import _canonical_edge_subsets
 from matchseq.graphs import Graph, _graph_from_pairs
@@ -413,3 +418,79 @@ def test_pair_index_agrees_with_reference_on_multigraphs():
             assert list(ids) == sorted(ids)  # copies in id order
             assert g.edge_ids_between(u, v) == g.edge_ids_between(v, u) == ids
         assert g.edge_ids_between(0, g.order) == ()
+
+
+def _arithmetic_hosts():
+    """The hosts whose pair lookup is arithmetic: K_n and K_{p,q}."""
+    for n in range(1, 13):
+        yield complete(n)
+    for p in range(1, 7):
+        for q in range(1, 7):
+            yield complete_bipartite(p, q)
+
+
+def test_arithmetic_lookup_agrees_with_reference():
+    """On K_n and K_{p,q}, edge_ids_between matches a tuple-keyed reference
+    on every pair in both orientations, a == b and pairs outside the range
+    included, and builds no pair index.  The same host rebuilt by
+    ``Graph(...)`` or unpickled has no arithmetic lookup: its dict gives the
+    same ids."""
+    for g in _arithmetic_hosts():
+        n = g.order
+        want = _reference_pair_index(g)
+        rebuilt = Graph(n, g.edges)
+        unpickled = pickle.loads(pickle.dumps(g))
+        assert rebuilt == unpickled == g
+        for u, v in itertools.product(range(n), repeat=2):
+            ids = want.get((min(u, v), max(u, v)), ())
+            assert g.edge_ids_between(u, v) == rebuilt.edge_ids_between(u, v) == ids
+            assert unpickled.edge_ids_between(u, v) == ids
+        # the pairs that alias in tests/test_pair_keys.py, and their shapes
+        # at every order: a key in range, but an endpoint out of it
+        outside = [(0, 8), (8, 0), (-1, 0), (0, -1), (-1, 6), (6, -1), (0, 5),
+                   (5, 5), (-1, -1), (0, n), (n, 0), (-1, n - 1), (n - 1, n + 2),
+                   (n, n), (1, 2 * n)]
+        for a, b in outside:
+            if not (0 <= a < n and 0 <= b < n):
+                assert g.edge_ids_between(a, b) == rebuilt.edge_ids_between(a, b) == ()
+        assert "_pair_index" not in g.__dict__
+
+
+def test_orderings_round_trip_on_arithmetic_hosts():
+    rng = random.Random(28)
+    for g in _arithmetic_hosts():
+        if not g.num_edges:  # K_1 has no ordering
+            continue
+        for mode in (LINEAR, CYCLIC):
+            o = random_ordering(g, mode, rng)
+            assert read_ordering(write_ordering(o), g, mode) == o
+            assert read_ordering(write_ordering(o), read_edge_list(write_edge_list(g)),
+                                 mode).sequence == o.sequence
+        assert "_pair_index" not in g.__dict__
+
+
+def test_dense_builders_build_no_pair_index():
+    orderings = [cms_complete_even(200), ms_complete_bipartite(100, 200)]
+    rows, cols = biadjacency_layout(FamilySpec("complete_bipartite", (100, 200)))
+    render_biadjacency(orderings[1], rows, cols)
+    k400 = complete(400)
+    found = [k400.edge_ids_between(b, a) for a, b in itertools.combinations(range(400), 2)]
+    assert found == [(i,) for i in range(79_800)]
+    for g in [o.graph for o in orderings] + [k400]:
+        assert "_pair_index" not in g.__dict__
+
+
+@pytest.mark.parametrize("build,bound", [
+    (lambda: cms_complete_even(200), 15 * 2**20),
+    (lambda: ms_complete_bipartite(100, 200), 5 * 2**20),
+], ids=["K400", "K100_200"])
+def test_dense_constructions_peak_without_the_index(build, bound):
+    # with a pair index per host these peaked at 19.9 and 5.9 MiB; the
+    # arithmetic lookup brings them to about 11.6 and 3.9 MiB
+    tracemalloc.start()
+    try:
+        build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound

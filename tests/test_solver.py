@@ -166,9 +166,9 @@ def test_exists_budget_covers_the_compat_masks(monkeypatch):
     # checkpoint, and the reported time includes the tables
     now = [0.0]
 
-    def slow_tables(g):
+    def slow_tables(g, deadline):
         now[0] += 10.0
-        return _tables(g)
+        return _tables(g, deadline)
 
     monkeypatch.setattr(solver, "time", SimpleNamespace(perf_counter=lambda: now[0]))
     monkeypatch.setattr(solver, "_tables", slow_tables)
@@ -500,6 +500,37 @@ def test_exact_builds_no_tables_for_targets_spacing_refutes(monkeypatch):
     for exact in (ms_exact, cms_exact):
         res = exact(path(4))
         assert (res.status, res.value, res.nodes_explored) == (VALUE_FOUND, 1, 0)
+
+
+def test_tables_stop_at_the_deadline():
+    # K200 has 19,900 edges, five slices; its compat masks alone peak near
+    # 80 MiB.  Past the deadline after the first slice, the set-up stops
+    g = complete(200)
+    tracemalloc.start()
+    try:
+        res = exists_ordering(g, 2, CYCLIC, SolveBudget(max_seconds=1e-6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert (res.status, res.nodes_explored, res.value, res.witness) == (
+        BUDGET_EXCEEDED, 0, None, None)
+    assert res.depth_histogram == (0,) * g.num_edges
+
+
+def test_exact_keeps_its_bracket_when_the_tables_stop():
+    # P5002 linear: spacing refutes d = nu = 2,501 in 0 nodes, and the
+    # tables of d = 2,500, two slices of edges, stop at the deadline; a
+    # seed stays the witness
+    g = path(5002)
+    res = ms_exact(g, SolveBudget(max_seconds=1e-6))
+    assert (res.status, res.nodes_explored, res.certified_upper, res.value) == (
+        BUDGET_EXCEEDED, 0, 2_501, None)
+    seed = EdgeOrdering(g, tuple(range(g.num_edges)), LINEAR)
+    res = ms_exact(g, SolveBudget(max_seconds=1e-6), seed=seed)
+    assert (res.status, res.nodes_explored, res.certified_upper, res.value) == (
+        BUDGET_EXCEEDED, 0, 2_501, None)
+    assert res.witness == seed
 
 
 def test_matching_bound_is_sized_by_the_edges():
