@@ -489,11 +489,21 @@ def random_tree(order: int, rng: random.Random) -> Graph:
     return _graph_from_pairs(order, pairs)
 
 
+def _vertex_names(g: Graph) -> list[str] | dict[int, str]:
+    """Each vertex that has an edge, formatted once and indexed by vertex:
+    a list over ``range(order)`` when that is at most twice the edges, else
+    a dict over the endpoints, so the table never outgrows the edges."""
+    if g.order <= 2 * g.num_edges:
+        return list(map(str, range(g.order)))
+    ends = {*g.us, *g.vs}
+    return dict(zip(ends, map(str, ends)))
+
+
 def write_edge_list(g: Graph) -> str:
     header = f"{g.order} {g.num_edges}"
     if g.allow_parallel:
         header += " multi"
-    names = list(map(str, range(g.order)))  # each vertex formatted once
+    names = _vertex_names(g)
     lines = [header] + [f"{names[u]} {names[v]}" for u, v in zip(g.us, g.vs)]
     return "\n".join(lines) + "\n"
 

@@ -28,7 +28,7 @@ from functools import cached_property
 from typing import Iterable, Literal, Sequence
 
 from .errors import FormatError, InvalidEdgeId, InvalidOrdering
-from .graphs import Graph
+from .graphs import Graph, _vertex_names
 
 LINEAR = "linear"
 CYCLIC = "cyclic"
@@ -193,7 +193,7 @@ def random_ordering(g: Graph, mode: Mode, rng: random.Random) -> EdgeOrdering:
 
 def write_ordering(o: EdgeOrdering) -> str:
     g = o.graph
-    names = list(map(str, range(g.order)))  # each vertex formatted once
+    names = _vertex_names(g)
     tokens = [f"{names[u]}-{names[v]}" for u, v in zip(g.us, g.vs)]  # by edge id
     if g.allow_parallel:  # copy j of a pair, in id order, is "u-v#j"
         for ids in g._pair_index.values():

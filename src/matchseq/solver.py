@@ -36,13 +36,19 @@ The rule also spaces the edges at each vertex d apart, as they must be in
 any ordering of value >= d: they form a clique of the line graph, and any
 two of them closer than d share a window.  ``_spacing`` reads it, per d
 from the degrees taken once per solve, as a mask per index.
-In cyclic mode a vertex of degree r needs r*d <= m.  In linear mode, with
+In cyclic mode a vertex of degree r needs r*d <= m; at equality, Δ*d = m
+for the largest degree Δ, a vertex of degree Δ fills one residue class of
+positions mod d, so an edge uv between two of them forces all Δ edges at u
+to join u and v.  In linear mode, with
 m - 1 = R*d + s and 0 <= s < d, it needs r <= R + 1, and a vertex of degree
 R + 1 has its edges at positions p with (p-1) mod d <= s: every other
 index holds only edges with no such endpoint.  A tree that breaks the
-degree bound, or has an index that may hold no edge, is refuted in 0
-nodes, before any table is built: P16 linear d=8, which took 442,193
-nodes before the rule, is one.
+degree bound, has such an edge uv of multiplicity below Δ, or has an index
+that may hold no edge, is refuted in 0 nodes, before any table is built:
+P16 linear d=8, which took 442,193 nodes before the rule, is one, and so
+are P_2k+1 and C_2k cyclic at d = k (P21 took 16,148,331 nodes) and
+every r-regular simple host, r >= 2, on an even number n of vertices at
+d = n/2.  So cms <= n/2 - 1 on such a host, K_2m and Petersen among them.
 Where some index is tight, a placed node pays one more AND, folded into
 W; elsewhere it pays nothing.  Every ordering of value >= d obeys the
 rule, the ones the symmetry rules below keep included, so it needs no
@@ -278,25 +284,38 @@ def _spacing(g: Graph, d: int, cyclic: bool, degree: list[int]) -> list[int] | N
     the edges at one vertex, a clique of the line graph, are spaced d apart
     (the clique bound of Leung, Vornberger and Witthoff, SIAM J. Comput.
     13, 1984).  Cyclic: r edges at a vertex leave r gaps of at least d
-    around the cycle, so r*d <= m.  Linear: r edges span (r-1)*d + 1
-    positions, so r <= R + 1, where m - 1 = R*d + s, 0 <= s < d.  At r =
-    R + 1 the i-th edge sits at position 1 + (i-1)*d + t_i, with t_1 <=
-    ... <= t_r <= s, so every edge at such a vertex sits at a position p
-    with (p-1) mod d <= s.  Hence the tight indices i, those with i mod d
-    > s, hold only edges with no endpoint of degree R + 1; only edges at a
-    degree-Δ vertex can have one.  There is a tight index iff s < d - 1,
+    around the cycle, so r*d <= m.  At Δ*d = m the gaps at a vertex u of
+    degree Δ sum to m, so each is exactly d, and u's edges fill one whole
+    residue class of positions mod d.  If an edge uv joins two vertices of
+    degree Δ, its position lies in both classes, so they are one class;
+    the one edge at each of its positions meets both u and v, so every
+    edge at u joins u and v.  Hence the tree is empty if such an edge uv
+    has fewer than Δ parallel copies: on a simple graph, whenever Δ >= 2
+    and two vertices of degree Δ are adjacent.  Linear: r edges span
+    (r-1)*d + 1 positions, so r <= R + 1, where m - 1 = R*d + s, 0 <= s <
+    d.  At r = R + 1 the i-th edge sits at position 1 + (i-1)*d + t_i,
+    with t_1 <= ... <= t_r <= s, so every edge at such a vertex sits at a
+    position p with (p-1) mod d <= s.  Hence the tight indices i, those
+    with i mod d > s, hold only edges with no endpoint of degree R + 1;
+    only edges at a degree-Δ vertex can have one.  There is a tight index iff s < d - 1,
     and then index s + 1 < m is one (d <= m makes R >= 1).
 
     Every ordering of value >= d satisfies the rule, among them the one
     the rotation pin, the twin order and the first-window pin keep of any
     ordering of value >= d: so the rule holds jointly with those three.
-    The tree is empty if a vertex breaks its mode's degree bound, or if in
-    linear mode a tight index may hold no edge.
+    The tree is empty if a vertex breaks its mode's degree bound, if in
+    cyclic mode at Δ*d = m an edge between two vertices of degree Δ has
+    fewer than Δ copies, or if in linear mode a tight index may hold no
+    edge.
     """
     m = g.num_edges
     top = max(degree)
     full = (1 << m) - 1
     if cyclic:
+        if top * d == m and any(
+                degree[u] == degree[v] == top and len(g.edge_ids_between(u, v)) < top
+                for u, v in zip(g.us, g.vs)):
+            return None
         return [full] * (m + 1) if top * d <= m else None
     span, s = divmod(m - 1, d)  # R and s
     if top > span + 1:

@@ -285,15 +285,16 @@ def _k8_cyclic_files(capsys, tmp_path):
 
 
 def test_solve_seeded_with_an_ordering(capsys, tmp_path):
-    # the construction attains 3: only d = nu = 4 is left, refuted without
-    # the greedy, and the seed is the witness
+    # the construction attains 3: only d = nu = 4 is left, refuted in 0
+    # nodes by spacing's cyclic equality case (4 nodes before it: 4 * 7 =
+    # 28 = m on K8), and the seed is the witness
     graph, ordering = _k8_cyclic_files(capsys, tmp_path)
     code, out, _ = run_cli(capsys, "solve", "--graph", str(graph), "--mode", "cyclic",
                            "--ordering", str(ordering))
     assert code == 0
     payload = json.loads(out)
     assert (payload["status"], payload["value"], payload["nodes"],
-            payload["greedy_placements"]) == ("value_found", 3, 4, 0)
+            payload["greedy_placements"]) == ("value_found", 3, 0, 0)
     assert payload["witness"] == ordering.read_text().strip()
 
 

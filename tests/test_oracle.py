@@ -52,13 +52,22 @@ def _allowed_positions(ends, d, cyclic):
     """For each edge, the 0-based positions where the spacing rule lets it
     sit: the other edges at each endpoint v must fit d apart around it, so
     deg(v) - 1 <= floor((p-1)/d) + floor((m-p)/d) at position p; cyclically,
-    deg(v) * d <= m."""
+    deg(v) * d <= m.  Cyclically at top * d = m, top the largest degree,
+    the edges at a vertex of degree top sit exactly d apart, on the
+    positions of one residue mod d; two such vertices that share an edge
+    share the residue, so every edge at either joins both: an edge with
+    both ends of degree top and fewer than top copies has nowhere to sit,
+    and nor has any other."""
     m = len(ends)
     degree = {}
     for e in ends:
         for v in e:
             degree[v] = degree.get(v, 0) + 1
     if cyclic:
+        top = max(degree.values())
+        if top * d == m and any(
+                all(degree[v] == top for v in e) and ends.count(e) < top for e in ends):
+            return [set()] * m
         return [set(range(m)) if all(degree[v] * d <= m for v in e) else set()
                 for e in ends]
     return [{j for j in range(m) if all(degree[v] - 1 <= j // d + (m - 1 - j) // d
@@ -170,7 +179,8 @@ def _relabelled(g, seed):
 def test_relabelled_hosts_pin_their_first_window(g, value, seed, mode, exact):
     # the rule reads the host from its edges, not from a builder's labels:
     # the rule-free oracle agrees on the value, and every refutation from
-    # nu down and the find at the value replay with the pinned oracle
+    # nu down and the find at the value replay with the pinned oracle (with
+    # spacing: cyclic K6 at d = 3 and K4,4 at d = 4 are refuted at the root)
     h = _relabelled(g, seed)
     want = value[mode == CYCLIC]
     assert len(_window_from_sets([{e.u, e.v} for e in h.edges])) == max_matching_size(h)
@@ -178,14 +188,16 @@ def test_relabelled_hosts_pin_their_first_window(g, value, seed, mode, exact):
     for d in range(max_matching_size(h), want - 1, -1):
         res = exists_ordering(h, d, mode)
         assert res.status == (VALUE_FOUND if d == want else NONEXISTENCE_CERTIFIED)
-        assert _oracle_search(h, d, mode, twins=True, pin=True) == (
+        assert _oracle_search(h, d, mode, twins=True, pin=True, spacing=True) == (
             d == want, res.nodes_explored), d
 
 
 def test_all_6_vertex_classes_replay_node_for_node():
     # every search of each class's exact solves, from nu down to its value:
-    # the refutations, 21 of them inside a tree that spacing masks, and the
-    # finds, all made before the first greedy slice
+    # the refutations, 21 of them inside a tree that spacing masks and 23
+    # emptied at the root by its cyclic equality case Δ * d = m (5,474
+    # nodes before that case), and the finds, all made before the first
+    # greedy slice
     searches = nodes = 0
     for pairs in _canonical_edge_subsets(6):
         g = _graph_from_pairs(6, pairs)
@@ -199,22 +211,26 @@ def test_all_6_vertex_classes_replay_node_for_node():
                     found, res.nodes_explored), (pairs, mode, d)
                 searches += 1
                 nodes += res.nodes_explored
-    assert (searches, nodes) == (498, 5_474)
+    assert (searches, nodes) == (498, 4_795)
 
 
 @pytest.mark.parametrize("g,d,mode,nodes", [
     # first window pinned on K5 and K7 (rule-free trees: 250 and 39,341);
     # spacing empties C9's tree (each vertex needs 2 * 5 > 9 positions) and
-    # P8's (no edge may sit at position 4), which took 51 and 121 nodes
+    # P8's (no edge may sit at position 4), which took 51 and 121 nodes, and
+    # at Δ * d = m circulant3(6)'s, 4-regular on 6 vertices (2,652 nodes)
     (complete(5), 2, CYCLIC, 84),
     (cycle(9), 5, CYCLIC, 0),
-    (circulant3(6), 6, CYCLIC, 2_652),
+    (circulant3(6), 6, CYCLIC, 0),
     (complete(7), 3, CYCLIC, 1_313),
     (path(8), 4, LINEAR, 0),
-    # twins, placed in ascending id (rule-free trees: 13,368, 557, 73, 84, 50)
+    # twins, placed in ascending id (rule-free trees: 13,368, 557, 73, 84,
+    # 50); in cyclic mode 4K4 and 2P5 sit at Δ * d = m with an edge between
+    # two vertices of degree Δ that has fewer than Δ copies, so spacing
+    # refutes them at the root (8 and 18 nodes with twins alone)
     (multiply(complete(4), 4), 2, LINEAR, 48),
-    (multiply(complete(4), 4), 2, CYCLIC, 8),
-    (multiply(path(5), 2), 2, CYCLIC, 18),
+    (multiply(complete(4), 4), 2, CYCLIC, 0),
+    (multiply(path(5), 2), 2, CYCLIC, 0),
     (multiply(complete(4), 2), 2, LINEAR, 24),
     # spacing: 7 edges at vertex 1 do not fit 2 apart in 8 positions (was 6)
     (attach_pendants(path(4), 1, 5), 2, LINEAR, 0),
@@ -237,26 +253,31 @@ def test_refutations_replay_node_for_node(g, d, mode, nodes):
     (complete_bipartite(5, 5), 4, LINEAR, True, 2_771),
     (circulant3(6), 6, LINEAR, False, 49_788),
     (circulant3(6), 5, LINEAR, True, 18),
-    (complete_bipartite(5, 5), 5, CYCLIC, False, 5),
+    (complete_bipartite(5, 5), 5, CYCLIC, False, 0),
     (complete_bipartite(5, 5), 4, CYCLIC, True, 3_563),
     (complete(8), 4, LINEAR, False, 4),
-    (complete(8), 4, CYCLIC, False, 4),
+    (complete(8), 4, CYCLIC, False, 0),
 ], ids=["ms-K5_5-d5", "ms-K5_5-d4", "ms-circulant3_6-d6", "ms-circulant3_6-d5",
         "cms-K5_5-d5", "cms-K5_5-d4", "ms-K8-d4", "cms-K8-d4"])
 def test_pinned_solve_phases_replay_node_for_node(g, d, mode, found, nodes):
     # the phases of the unseeded solves of test_solver.test_node_counts_pinned
     # that the oracle can replay: each refutation, and each find the DFS made
-    # before its first greedy slice (K8's finds come from the greedy)
+    # before its first greedy slice (K8's finds come from the greedy).
+    # Cyclic K5,5 at d = 5 and K8 at d = 4 sit at Δ * d = m, so spacing
+    # refutes them at the root (5 and 4 nodes with the pin alone)
     res = exists_ordering(g, d, mode)
     assert (res.status == VALUE_FOUND, res.nodes_explored) == (found, nodes)
-    assert _oracle_search(g, d, mode, twins=True, pin=True) == (found, nodes)
+    assert _oracle_search(g, d, mode, twins=True, pin=True, spacing=True) == (
+        found, nodes)
 
 
 def test_verify_cross_checks_replay_node_for_node():
     # every search of the exact solves of `verify --exact-up-to-edges 12`:
     # seeded with the construction, they refute d = nu down to the row's
     # value + 1; the unseeded find at the row's value replays too.  Spacing
-    # refutes the even paths' rows in 0 nodes (7,339 nodes before it)
+    # refutes the even paths' rows in 0 nodes (7,339 nodes before it), and
+    # its cyclic equality case 15 more refutations: the cyclic rows of C_2k,
+    # P_2k+1, K4, K2,2, K3,3 and circulant3(3), (4) (14,648 nodes before)
     rows = [r for r in verify_families(exact_up_to_edges=12).rows
             if r.exact is not None]
     refutations = 0
@@ -273,4 +294,4 @@ def test_verify_cross_checks_replay_node_for_node():
                 replayed += res.nodes_explored
                 refutations += 1
         assert replayed == row.nodes, row.case
-    assert (len(rows), refutations, sum(r.nodes for r in rows)) == (84, 36, 14_648)
+    assert (len(rows), refutations, sum(r.nodes for r in rows)) == (84, 36, 11_192)

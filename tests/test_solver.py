@@ -254,9 +254,10 @@ _SPIDER = [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (0, 6), (6, 7)]  # legs 3, 2,
 def _differential_hosts() -> list[Graph]:
     """Every graph class on 5 labels with at most 7 edges, seeded random
     multigraphs, two edge-doubled hosts, three named twin hosts: a star, a
-    triangle with a pendant edge, and three copies of P3, and two named
-    hosts where spacing bites: P8 and a spider whose centre is tight at d
-    = 3.  The star is K_{1,5}, since K_{1,4} is already one of the
+    triangle with a pendant edge, and three copies of P3, and four named
+    hosts where spacing bites: P8, a spider whose centre is tight at d
+    = 3, and C6 and P7, which its cyclic equality case refutes at d = 3.
+    The star is K_{1,5}, since K_{1,4} is already one of the
     classes, and so is ``_LOOSE_CLASS``, labels included: the smallest
     class whose linear value is below both the matching and the spacing
     bound."""
@@ -270,7 +271,8 @@ def _differential_hosts() -> list[Graph]:
         hosts.append(_graph_from_pairs(n, chosen, allow_parallel=True))
     return hosts + [multiply(path(3), 2), multiply(cycle(3), 2),
                     complete_bipartite(1, 5), attach_pendants(cycle(3), 0, 1),
-                    multiply(path(3), 3), path(8), _graph_from_pairs(8, _SPIDER)]
+                    multiply(path(3), 3), path(8), _graph_from_pairs(8, _SPIDER),
+                    cycle(6), path(7)]
 
 
 def _best_by_enumeration(g: Graph, mode) -> int:
@@ -314,12 +316,26 @@ def test_greedy_restarts_yield_only_checked_witnesses(g):
                 assert mode == LINEAR or seq[0] == 0
 
 
+_PETERSEN = ([(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+             + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
 @pytest.mark.parametrize("g,d,mode", [
     (_graph_from_pairs(5, _LOOSE_CLASS), 2, LINEAR),
     (_graph_from_pairs(6, [(0, 1), (0, 2), (0, 3), (4, 5)]), 2, LINEAR),
     *((path(2 * k), k, mode) for k in range(2, 9) for mode in (LINEAR, CYCLIC)),
-], ids=["loose-class", "claw-and-edge"] + [f"P{2 * k}-{mode}" for k in range(2, 9)
-                                           for mode in ("linear", "cyclic")])
+    *((cycle(2 * k), k, CYCLIC) for k in range(2, 9)),
+    *((path(2 * k + 1), k, CYCLIC) for k in range(2, 13)),
+    *((complete(2 * k), k, CYCLIC) for k in range(2, 7)),
+    (circulant3(6), 6, CYCLIC),
+    (_graph_from_pairs(10, _PETERSEN), 5, CYCLIC),
+    (multiply(path(5), 2), 2, CYCLIC),
+], ids=["loose-class", "claw-and-edge"]
+    + [f"P{2 * k}-{mode}" for k in range(2, 9) for mode in ("linear", "cyclic")]
+    + [f"C{2 * k}-cyclic" for k in range(2, 9)]
+    + [f"P{2 * k + 1}-cyclic" for k in range(2, 13)]
+    + [f"K{2 * k}-cyclic" for k in range(2, 7)]
+    + ["circulant3_6-cyclic", "petersen-cyclic", "2P5-cyclic"])
 def test_spacing_refutes_at_the_root(g, d, mode):
     # the class: vertices 0 and 1 have degree 3 = R + 1 at d = 2 (m - 1 =
     # 2R + s, s = 0), and every edge meets one, so position 2 may hold
@@ -327,11 +343,39 @@ def test_spacing_refutes_at_the_root(g, d, mode):
     # the 4, though every position may hold edge 45.  P_2k linear at d =
     # k: every edge meets a vertex of degree 2 = R + 1 and s = k - 2, so
     # position k may hold none; cyclic, a vertex of degree 2 needs 2k
-    # positions of the 2k - 1.  No node is visited
+    # positions of the 2k - 1.  The cyclic rest sit at Δ * d = m with an
+    # edge between two vertices of degree Δ that has fewer than Δ copies:
+    # C_2k and P_2k+1 (Δ = 2), K_2m (2m - 1), circulant3(6) (4), Petersen
+    # (3) and 2P5, whose middle edges are double and Δ = 4.  No node is
+    # visited
     res = exists_ordering(g, d, mode)
     assert (res.status, res.nodes_explored, res.depth_histogram) == (
         NONEXISTENCE_CERTIFIED, 0, (0,) * g.num_edges)
     assert _spacing(g, d, mode == CYCLIC, degrees(g)) is None
+
+
+def test_spacing_keeps_a_tight_host_whose_degree_delta_vertices_pair_up():
+    # two disjoint double edges, cyclic d = 2: Δ * d = m = 4, but each edge
+    # between vertices of degree Δ = 2 has both copies, so the rule keeps
+    # the tree, and 01 23 01 23 has value 2
+    g = _graph_from_pairs(4, [(0, 1), (0, 1), (2, 3), (2, 3)], allow_parallel=True)
+    assert _spacing(g, 2, True, degrees(g)) is not None
+    res = exists_ordering(g, 2, CYCLIC)
+    assert res.status == VALUE_FOUND
+    assert matching_number(res.witness).value == 2
+    assert cms_exact(g).value == 2
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_cms_of_odd_paths_costs_only_the_find(k):
+    # P_2k+1 has nu = k, refuted at the root by spacing's equality case, so
+    # cms = k - 1 costs the nodes of the find at k - 1 alone (P21 took
+    # 16,148,351 nodes before the rule)
+    g = path(2 * k + 1)
+    res = cms_exact(g)
+    find = exists_ordering(g, k - 1, CYCLIC)
+    assert (res.status, res.value) == (VALUE_FOUND, k - 1)
+    assert res.nodes_explored == find.nodes_explored == (2 * k if k > 2 else 0)
 
 
 @pytest.mark.parametrize("k,nodes", [
@@ -606,8 +650,8 @@ _PINNED_SOLVES = {
     "cms-K7": (cms_exact, lambda: complete(7), 1_398, 0,
         (2, 2, 2, 3, 5, 9, 17, 25, 41, 65, 97, 113, 145, 163, 192, 155,
          125, 104, 93, 39, 1)),
-    "cms-K5_5": (cms_exact, lambda: complete_bipartite(5, 5), 3_568, 0,
-        (2, 2, 2, 2, 2, 1, 1, 1, 2, 4, 8, 16, 32, 65, 118, 170, 256, 401,
+    "cms-K5_5": (cms_exact, lambda: complete_bipartite(5, 5), 3_563, 0,
+        (1, 1, 1, 1, 1, 1, 1, 1, 2, 4, 8, 16, 32, 65, 118, 170, 256, 401,
          585, 799, 639, 369, 85, 5, 1)),
     "cms-2K7": (cms_exact, lambda: multiply(complete(7), 2), 5_853, 269,
         (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
@@ -616,8 +660,8 @@ _PINNED_SOLVES = {
     "ms-K8": (ms_exact, lambda: complete(8), 4_100, 28,
         (2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 3, 10, 22, 49, 132, 277,
          435, 665, 831, 865, 574, 209, 11, 0, 0)),
-    "cms-K8": (cms_exact, lambda: complete(8), 4_100, 271,
-        (2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 3, 10, 22, 49, 132, 277,
+    "cms-K8": (cms_exact, lambda: complete(8), 4_096, 271,
+        (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 3, 10, 22, 49, 132, 277,
          435, 665, 831, 865, 574, 209, 11, 0, 0)),
 }
 
@@ -633,12 +677,14 @@ def test_node_counts_pinned(name):
 
 
 @pytest.mark.parametrize("n,nodes", [
-    (4, 2), (5, 84), (6, 245), (7, 1_398), (8, 4_100), (9, 23_266),
-    (10, 409_605), (11, 567_427),
+    (4, 0), (5, 84), (6, 242), (7, 1_398), (8, 4_096), (9, 23_266),
+    (10, 409_600), (11, 567_427),
 ])
 def test_cms_complete_is_half_the_order_minus_one(n, nodes):
     # the paper's theorem cms(K_2m) = cms(K_2m+1) = m - 1, certified by an
-    # exhausted tree at every d above it, with the first window pinned
+    # exhausted tree at every d above it, with the first window pinned;
+    # on K_2m, d = m is refuted in 0 nodes by spacing's equality case, so
+    # K_2m's count is the find's alone
     res = cms_exact(complete(n))
     assert (res.status, res.value, res.nodes_explored) == (VALUE_FOUND, n // 2 - 1, nodes)
     assert matching_number(res.witness).value == n // 2 - 1
@@ -663,7 +709,7 @@ def test_first_window_needs_a_simple_complete_or_complete_bipartite_host():
 
 
 @pytest.mark.parametrize("solve,n,value,nodes", [
-    (cms_exact, 8, 3, 4),
+    (cms_exact, 8, 3, 0),  # spacing's equality case refutes d = 4
     (ms_exact, 8, 3, 4),  # the cyclic construction, read linearly
     (cms_exact, 7, 2, 1_313),
 ], ids=["cms-K8", "ms-K8", "cms-K7"])
