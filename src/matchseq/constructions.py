@@ -91,17 +91,14 @@ class RotationScheme:
         return len(self.base)
 
     def ordering(self, g: Graph, mode: Mode) -> EdgeOrdering:
-        n, lookup = g.order, g._pair_lookup
+        between = g.edge_ids_between
         listed = [0] * g.num_edges  # listings so far, by the pair's first-copy id
         rotation = self.rotation
         seq = []
         block = self.base
         for _ in range(self.block_count):
             for a, b in block:
-                # Graph.edge_ids_between, inlined for speed: the range check comes
-                # first because the int key aliases out-of-range pairs
-                ids = (lookup(a * n + b if a < b else b * n + a)
-                       if 0 <= a < n and 0 <= b < n else None)
+                ids = between(a, b)
                 if not ids:
                     raise ValueError(f"no edge {{{a},{b}}} in graph")
                 j = listed[ids[0]]

@@ -24,17 +24,18 @@ The builders whose pairs are distinct by construction (``complete``,
 duplicate rule; every graph from outside runs all of them.
 
 A vertex pair ``u < v`` is keyed by the int ``u * order + v``
-(:func:`_pair_keys`): the duplicate rule counts these keys, and
-:meth:`Graph.edge_ids_between`, the ordering reader and the rotation
-schemes look edges up by them, through ``Graph._pair_lookup``, which maps
-a key to the pair's edge ids, or None for no edge.  The key is one-to-one
-only on pairs inside ``[0, order)``: on K_5, ``0*5 + 8 == 1*5 + 3``, so a
-pair is range-checked before it is keyed, and a pair outside the range is
-no edge.  The hosts that ``complete`` and ``complete_bipartite`` build
-answer by arithmetic on the key, from their id formulas, and hold no
-table per edge; every other graph (read from a file, rebuilt by
-``Graph(...)``, multiplied, with pendants, a cycle, path or circulant)
-reads the dict ``Graph._pair_index``, built on first use.
+(:func:`_pair_keys`), in this module only: the duplicate rule counts these
+keys, and :meth:`Graph.edge_ids_between`, the one pair lookup that the
+ordering reader, the rotation schemes and the matrix view call, reads the
+dict ``Graph._pair_index`` from key to ids, built on first use.  The key
+is one-to-one only on pairs inside ``[0, order)``: on K_5,
+``0*5 + 8 == 1*5 + 3``, so the lookup range-checks a pair before it keys
+it, and a pair outside the range is no edge.  The hosts that ``complete``
+and ``complete_bipartite`` build key nothing: they declare their edges as
+row runs, three int lists of length ``order`` (row a holds the columns
+``lo[a] <= b < hi[a]`` at ids ``base[a] + b``), and hold no table per
+edge.  Every other graph (read from a file, rebuilt by ``Graph(...)``,
+multiplied, with pendants, a cycle, path or circulant) reads the dict.
 
 Edge-list text format: a header line, then one line per edge with 0-based
 endpoints; the edge id is the line order, and ``#`` starts a comment only
@@ -51,9 +52,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count, repeat
 from operator import add, eq, lt, mul
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import FormatError, InvalidFamilyParams, InvalidVertex
+
+
+Rows = tuple[list[int], list[int], list[int]]  # row runs: lo, hi, base
 
 
 class Edge(NamedTuple):
@@ -83,15 +87,17 @@ class Graph:
 
     def _fill(self, order: int, us: tuple[int, ...], vs: tuple[int, ...],
               allow_parallel: bool, ids: tuple[int, ...] | None = None,
-              distinct: bool = False) -> None:
+              distinct: bool = False, rows: Rows | None = None) -> None:
         """Set the fields and validate them, with the ids the edges were
         given with, if any.  ``distinct`` skips the duplicate-pair rule, for
-        builders whose pairs are distinct by construction."""
+        builders whose pairs are distinct by construction; ``rows`` are the
+        row runs of such a builder, None for a graph looked up by dict."""
         put = object.__setattr__
         put(self, "order", order)
         put(self, "us", us)
         put(self, "vs", vs)
         put(self, "allow_parallel", allow_parallel)
+        put(self, "_rows", rows)
         if order < 1:
             raise ValueError(f"graph order must be >= 1, got {order}")
         # Each rule as one pass over the columns; only a graph that breaks
@@ -128,31 +134,15 @@ class Graph:
         return len(self.us)
 
     @cached_property
-    def _pair_lookup(self) -> Callable[[int], tuple[int, ...] | None]:
-        """Pair key ``u * order + v`` -> ids of the edges joining u <= v,
-        ascending, or None when there is none.  ``_pair_index.get`` here;
-        ``complete`` and ``complete_bipartite`` set an arithmetic one on the
-        hosts they build (:func:`_complete_lookup`,
-        :func:`_bipartite_lookup`).  Like the index, it is defined on keys
-        of in-range pairs only, so readers range-check first; a hot loop
-        fetches it once."""
-        return self._pair_index.get
-
-    def __getstate__(self) -> dict:
-        """What pickle and copy keep: all but ``_pair_lookup``, which a
-        builder sets to a closure that pickle cannot store.  A copy looks
-        pairs up by the dict, with the same answers."""
-        return {k: v for k, v in self.__dict__.items() if k != "_pair_lookup"}
-
-    @cached_property
     def _pair_index(self) -> dict[int, tuple[int, ...]]:
         """Pair key ``u * order + v`` -> ids of the edges joining u < v,
         ascending.
 
         The key aliases pairs outside ``[0, order)`` onto edges (on K_5,
-        ``0*5 + 8 == 1*5 + 3``), so every reader checks ``0 <= u`` and
-        ``v < order`` before it forms one.  A simple graph has one id per
-        key, so its one-tuples come from C-level maps with no Python loop.
+        ``0*5 + 8 == 1*5 + 3``), so its one reader, :meth:`edge_ids_between`,
+        checks ``0 <= u`` and ``v < order`` before it forms one.  Only
+        graphs without row runs build it.  A simple graph has one id per key, so its one-tuples
+        come from C-level maps with no Python loop.
         """
         keys = _pair_keys(self.order, self.us, self.vs)
         if not self.allow_parallel:
@@ -164,14 +154,18 @@ class Graph:
         return index
 
     def edge_ids_between(self, a: int, b: int) -> tuple[int, ...]:
-        """Ids of all edges with endpoints {a, b} (several when parallel);
-        ``()`` when either endpoint lies outside ``[0, order)``."""
+        """Ids of all edges with endpoints {a, b}, ascending (several when
+        parallel); ``()`` when either endpoint lies outside ``[0, order)``.
+        Row runs answer without a key; a == b lies in no run."""
         n = self.order
         if a > b:
             a, b = b, a
         if a < 0 or b >= n:
             return ()
-        return self._pair_lookup(a * n + b) or ()
+        if self._rows is None:
+            return self._pair_index.get(a * n + b, ())
+        lo, hi, base = self._rows
+        return (base[a] + b,) if lo[a] <= b < hi[a] else ()
 
 
 def _pair_keys(order: int, us: Iterable[int], vs: Iterable[int]) -> Iterator[int]:
@@ -181,12 +175,14 @@ def _pair_keys(order: int, us: Iterable[int], vs: Iterable[int]) -> Iterator[int
 
 
 def _from_columns(order: int, us: tuple[int, ...], vs: tuple[int, ...],
-                  allow_parallel: bool = False, *, distinct: bool = False) -> Graph:
+                  allow_parallel: bool = False, *, distinct: bool = False,
+                  rows: Rows | None = None) -> Graph:
     """The graph with edge i joining ``us[i] < vs[i]``, validated like
     ``Graph(order, edges)``.  ``distinct`` skips only the duplicate-pair
-    rule; a builder passes it when its docstring shows its pairs distinct."""
+    rule; a builder passes it when its docstring shows its pairs distinct,
+    and ``rows`` when its docstring shows they hold its edges' ids."""
     g = object.__new__(Graph)
-    g._fill(order, us, vs, allow_parallel, distinct=distinct)
+    g._fill(order, us, vs, allow_parallel, distinct=distinct, rows=rows)
     return g
 
 
@@ -202,65 +198,34 @@ def complete(n: int) -> Graph:
 
     The pairs are distinct: they are listed in strictly increasing
     lexicographic order, u ascending and v ascending within each u.  Rows
-    0..a-1 hold (n-1) + ... + (n-a) = a(2n-a-1)/2 edges, so the id of
-    {a < b} is a(2n-a-3)/2 + b - 1, which the host's pair lookup computes.
+    0..a-1 hold (n-1) + ... + (n-a) = a(2n-a-1)/2 edges, so row a runs over
+    the columns a+1..n-1, and the id of {a < b} is a(2n-a-3)/2 - 1 + b.
     """
     if n < 1:
         raise InvalidFamilyParams(f"complete requires n >= 1, got {n}")
     verts = tuple(range(n))  # u repeated n-1-u times, each next to u+1..n-1
-    g = _from_columns(n, tuple(chain.from_iterable(map(repeat, verts, verts[::-1]))),
-                      tuple(chain.from_iterable(verts[u + 1:] for u in verts)),
-                      distinct=True)
-    object.__setattr__(g, "_pair_lookup", _complete_lookup(n))
-    return g
-
-
-def _complete_lookup(n: int) -> Callable[[int], tuple[int, ...] | None]:
-    """The pair lookup of ``complete(n)``.  The key k = a*n + b of {a <= b}
-    gives a = k // n, and b > a iff k > a(n+1); then the id is
-    a(2n-a-3)/2 + b - 1 = ``offset[a] + k``.  So a == b is no edge."""
-    diagonal = tuple(range(0, n * (n + 1), n + 1))  # a(n+1), the key of {a, a}
-    offset = tuple(a * (2 * n - a - 3) // 2 - 1 - a * n for a in range(n))
-
-    def lookup(key: int) -> tuple[int, ...] | None:
-        a = key // n
-        if key > diagonal[a]:
-            return (offset[a] + key,)
-        return None
-
-    return lookup
+    rows = ([a + 1 for a in verts], [n] * n,
+            [a * (2 * n - a - 3) // 2 - 1 for a in verts])
+    return _from_columns(n, tuple(chain.from_iterable(map(repeat, verts, verts[::-1]))),
+                         tuple(chain.from_iterable(verts[u + 1:] for u in verts)),
+                         distinct=True, rows=rows)
 
 
 def complete_bipartite(p: int, q: int) -> Graph:
     """K_{p,q}: left vertices 0..p-1, right p..p+q-1, ids row-major.
 
     The pairs are distinct: row u lists each column p..p+q-1 once, and
-    edges of different rows differ in u.  So the id of {a, b} with
-    a < p <= b is a*q + (b - p), which the host's pair lookup computes.
+    edges of different rows differ in u.  So row a < p runs over the columns
+    p..p+q-1, and the id of {a, b} is a*q - p + b; the rows a >= p are empty
+    runs p..p-1.
     """
     if p < 1 or q < 1:
         raise InvalidFamilyParams(f"complete_bipartite requires p,q >= 1, got ({p},{q})")
-    # row i repeated q times, each next to the columns p..p+q-1
-    g = _from_columns(p + q, tuple(chain.from_iterable(map(repeat, range(p), repeat(q, p)))),
-                      tuple(range(p, p + q)) * p, distinct=True)
-    object.__setattr__(g, "_pair_lookup", _bipartite_lookup(p, q))
-    return g
-
-
-def _bipartite_lookup(p: int, q: int) -> Callable[[int], tuple[int, ...] | None]:
-    """The pair lookup of ``complete_bipartite(p, q)``.  The key k = a*n + b
-    of {a <= b}, n = p + q, gives a = k // n and b = k - a*n; an edge needs
-    a < p <= b, and its id a*q + b - p is k - p(a+1), as n - q = p.  So two
-    vertices on one side, a == b included, are no edge."""
     n = p + q
-
-    def lookup(key: int) -> tuple[int, ...] | None:
-        a = key // n
-        if a < p <= key - a * n:
-            return (key - p * (a + 1),)
-        return None
-
-    return lookup
+    rows = ([p] * n, [n] * p + [p] * q, [a * q - p for a in range(p)] + [0] * q)
+    # row i repeated q times, each next to the columns p..p+q-1
+    return _from_columns(n, tuple(chain.from_iterable(map(repeat, range(p), repeat(q, p)))),
+                         tuple(range(p, n)) * p, distinct=True, rows=rows)
 
 
 def cycle(n: int) -> Graph:
@@ -342,7 +307,11 @@ def _neighbour_sets(order: int, us: Sequence[int], vs: Sequence[int]) -> list[se
 
 
 def is_connected(g: Graph) -> bool:
-    """Connectivity over vertices (isolated vertices count)."""
+    """Connectivity over vertices (isolated vertices count).  A connected
+    graph has at least order - 1 edges, so fewer answer False before any
+    table sized by the order is built."""
+    if g.num_edges < g.order - 1:
+        return False
     neigh = _neighbour_sets(g.order, g.us, g.vs)
     seen = {0}
     stack = [0]

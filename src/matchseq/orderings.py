@@ -25,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count
 from typing import Iterable, Literal, Sequence
 
 from .errors import FormatError, InvalidEdgeId, InvalidOrdering
@@ -116,11 +117,19 @@ def matching_number(o: EdgeOrdering) -> MatchingNumberReport:
     smallest earlier position, then smallest later position, so reports
     are deterministic: the sweep meets the pairs of one gap in order of
     their later position, so only a strictly smaller gap replaces the best.
+
+    Where the order exceeds twice the edges, the first/last tables cover
+    only the vertices with edges, relabelled in ascending order, so they
+    never outgrow the edges; a vertex's positions keep their meaning.
     """
     m = o.length
-    us, vs = o.graph.us, o.graph.vs
-    first = [0] * o.graph.order  # 0: vertex not met yet
-    last = [0] * o.graph.order
+    us, vs, order = o.graph.us, o.graph.vs, o.graph.order
+    if order > 2 * m:  # the endpoints, labelled 0, 1, ... in ascending order
+        ends = sorted({*us, *vs})
+        label = dict(zip(ends, count())).__getitem__
+        us, vs, order = [*map(label, us)], [*map(label, vs)], len(ends)
+    first = [0] * order  # 0: vertex not met yet
+    last = [0] * order
     gap, lo, hi = m + 1, 0, 0  # best (gap, pos_lo, pos_hi); m + 1: no pair yet
     for t, eid in enumerate(o.sequence, start=1):
         u = us[eid]
@@ -196,7 +205,8 @@ def write_ordering(o: EdgeOrdering) -> str:
     names = _vertex_names(g)
     tokens = [f"{names[u]}-{names[v]}" for u, v in zip(g.us, g.vs)]  # by edge id
     if g.allow_parallel:  # copy j of a pair, in id order, is "u-v#j"
-        for ids in g._pair_index.values():
+        for u, v in set(zip(g.us, g.vs)):
+            ids = g.edge_ids_between(u, v)
             if len(ids) > 1:
                 for j, eid in enumerate(ids):
                     tokens[eid] += f"#{j}"
@@ -208,7 +218,7 @@ def read_ordering(text: str, g: Graph, mode: Mode) -> EdgeOrdering:
     if len(tokens) != g.num_edges:
         raise FormatError(
             f"expected {g.num_edges} ordering tokens, found {len(tokens)}", 1)
-    n, lookup = g.order, g._pair_lookup
+    between = g.edge_ids_between
     seq = []
     for k, token in enumerate(tokens):
         body, _, copy = token.partition("#")
@@ -218,10 +228,7 @@ def read_ordering(text: str, g: Graph, mode: Mode) -> EdgeOrdering:
             j = int(copy) if copy else 0
         except ValueError:
             raise FormatError(f"bad ordering token {token!r} (index {k})", 1) from None
-        # Graph.edge_ids_between, inlined for speed: the range check comes
-        # first because the int key aliases out-of-range pairs
-        ids = (lookup(u * n + v if u < v else v * n + u)
-               if 0 <= u < n and 0 <= v < n else None)
+        ids = between(u, v)
         if not ids:
             raise FormatError(f"token {token!r}: no edge {{{u},{v}}} in graph", 1)
         if not (0 <= j < len(ids)):
@@ -247,10 +254,11 @@ def render_biadjacency(o: EdgeOrdering, rows: Sequence[int],
     """
     if o.graph.allow_parallel:
         raise InvalidOrdering("matrix rendering requires a simple graph")
+    between = o.graph.edge_ids_between
     cell: dict[tuple[int, int], int] = {}
     for i, r in enumerate(rows):
         for j, c in enumerate(cols):
-            ids = o.graph.edge_ids_between(r, c)
+            ids = between(r, c)
             if ids:
                 cell[(i, j)] = o.position(ids[0])
     # each edge in exactly one cell: m cells holding m distinct positions
@@ -271,6 +279,7 @@ def parse_biadjacency(text: str, g: Graph, rows: Sequence[int],
     matrix = [line.split() for line in text.splitlines() if line.strip()]
     if len(matrix) != len(rows):
         raise FormatError(f"expected {len(rows)} matrix rows, found {len(matrix)}")
+    between = g.edge_ids_between
     seq: list[int | None] = [None] * g.num_edges
     for i, row in enumerate(matrix):
         if len(row) != len(cols):
@@ -282,7 +291,7 @@ def parse_biadjacency(text: str, g: Graph, rows: Sequence[int],
                 label = int(token)
             except ValueError:
                 raise FormatError(f"bad cell {token!r}", i + 1) from None
-            ids = g.edge_ids_between(rows[i], cols[j])
+            ids = between(rows[i], cols[j])
             if not ids:
                 raise FormatError(
                     f"cell ({i + 1},{j + 1}) labels a non-edge", i + 1)

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import pickle
 import random
@@ -257,6 +258,20 @@ def test_is_connected():
     assert is_connected(Graph(1, ()))
 
 
+def test_is_connected_builds_no_table_per_vertex_when_edges_are_too_few():
+    # one edge on 2,000,000 vertices: a neighbour set per vertex took 4.9 s
+    # and peaked at 428 MiB to answer False
+    g = Graph(2_000_000, [Edge(0, 1_999_998, 1_999_999)])
+    tracemalloc.start()
+    try:
+        connected = is_connected(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not connected
+    assert peak < 4 << 20
+
+
 def test_edge_list_roundtrip():
     for g in (complete(5), multiply(cycle(3), 2), path(2)):
         text = write_edge_list(g)
@@ -420,8 +435,8 @@ def test_pair_index_agrees_with_reference_on_multigraphs():
         assert g.edge_ids_between(0, g.order) == ()
 
 
-def _arithmetic_hosts():
-    """The hosts whose pair lookup is arithmetic: K_n and K_{p,q}."""
+def _row_run_hosts():
+    """The hosts that declare their edges as row runs: K_n and K_{p,q}."""
     for n in range(1, 13):
         yield complete(n)
     for p in range(1, 7):
@@ -433,9 +448,9 @@ def test_arithmetic_lookup_agrees_with_reference():
     """On K_n and K_{p,q}, edge_ids_between matches a tuple-keyed reference
     on every pair in both orientations, a == b and pairs outside the range
     included, and builds no pair index.  The same host rebuilt by
-    ``Graph(...)`` or unpickled has no arithmetic lookup: its dict gives the
-    same ids."""
-    for g in _arithmetic_hosts():
+    ``Graph(...)`` has no row runs: its dict gives the same ids.  An
+    unpickled copy keeps the row runs and gives them too."""
+    for g in _row_run_hosts():
         n = g.order
         want = _reference_pair_index(g)
         rebuilt = Graph(n, g.edges)
@@ -456,9 +471,21 @@ def test_arithmetic_lookup_agrees_with_reference():
         assert "_pair_index" not in g.__dict__
 
 
+def test_copies_keep_the_row_runs():
+    """A pickled or deep-copied K_n or K_{p,q} answers every pair from its
+    row runs, with the original's ids, and builds no pair index."""
+    for g in _row_run_hosts():
+        want = _reference_pair_index(g)
+        for twin in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+            assert twin == g
+            for u, v in itertools.product(range(-1, g.order + 1), repeat=2):
+                assert twin.edge_ids_between(u, v) == want.get((min(u, v), max(u, v)), ())
+            assert "_pair_index" not in twin.__dict__
+
+
 def test_orderings_round_trip_on_arithmetic_hosts():
     rng = random.Random(28)
-    for g in _arithmetic_hosts():
+    for g in _row_run_hosts():
         if not g.num_edges:  # K_1 has no ordering
             continue
         for mode in (LINEAR, CYCLIC):
@@ -486,7 +513,7 @@ def test_dense_builders_build_no_pair_index():
 ], ids=["K400", "K100_200"])
 def test_dense_constructions_peak_without_the_index(build, bound):
     # with a pair index per host these peaked at 19.9 and 5.9 MiB; the
-    # arithmetic lookup brings them to about 11.6 and 3.9 MiB
+    # row runs bring them to about 11.6 and 3.9 MiB
     tracemalloc.start()
     try:
         build()

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -123,6 +124,38 @@ def test_thousand_random_k6_orderings_agree():
     for i in range(1000):
         o = random_ordering(g, CYCLIC if i % 2 else LINEAR, rng)
         assert matching_number(o).value == matching_number_bruteforce(o)
+
+
+def test_matching_number_is_sized_by_the_edges():
+    # one edge on 2,000,000 vertices: first/last tables over the order
+    # peaked at 30.5 MiB in one call
+    g = Graph(2_000_000, [Edge(0, 1_999_998, 1_999_999)])
+    for mode in MODES:
+        o = EdgeOrdering(g, (0,), mode)
+        tracemalloc.start()
+        try:
+            report = matching_number(o)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report == MatchingNumberReport(1, None)
+        assert peak < 4 << 20, mode
+
+
+def test_matching_number_keeps_its_report_on_a_sparse_re_embedding():
+    """A small graph moved onto 2,000,000 vertices, its labels kept in
+    order, gets the same report from the same sequence in both modes."""
+    rng = random.Random(30)
+    for _ in range(60):
+        n = rng.randint(2, 8)
+        pairs = [rng.sample(range(n), 2) for _ in range(rng.randint(1, 12))]
+        g = _graph_from_pairs(n, pairs, allow_parallel=True)
+        names = sorted(rng.sample(range(2_000_000), n))
+        big = _graph_from_pairs(2_000_000, [(names[u], names[v]) for u, v in pairs],
+                                allow_parallel=True)
+        for mode in MODES:
+            o = random_ordering(g, mode, rng)
+            assert matching_number(EdgeOrdering(big, o.sequence, mode)) == matching_number(o)
 
 
 # ---------------------------------------------------------------------------

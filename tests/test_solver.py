@@ -562,6 +562,27 @@ def test_tables_stop_at_the_deadline():
     assert res.depth_histogram == (0,) * g.num_edges
 
 
+def test_tables_stop_at_the_deadline_in_their_second_pass(monkeypatch):
+    # K92 has 4,186 edges, two slices: the first pass (flip and the
+    # incidence masks) completes, and the deadline stops the second pass
+    # (compat and the twin classes) after its first slice
+    calls = []
+    slices = solver._slices
+
+    def second_pass_stops(m, deadline):
+        calls.append(m)
+        part = slices(m, deadline)
+        return part if len(calls) % 2 else itertools.islice(part, 1)
+
+    monkeypatch.setattr(solver, "_slices", second_pass_stops)
+    g = complete(92)
+    assert g.num_edges > solver._BUDGET_CHECK_STRIDE
+    assert _tables(g) is None
+    res = exists_ordering(g, 2, CYCLIC)
+    assert (res.status, res.nodes_explored) == (BUDGET_EXCEEDED, 0)
+    assert calls == [g.num_edges] * 4
+
+
 def test_exact_keeps_its_bracket_when_the_tables_stop():
     # P5002 linear: spacing refutes d = nu = 2,501 in 0 nodes, and the
     # tables of d = 2,500, two slices of edges, stop at the deadline; a
