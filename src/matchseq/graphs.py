@@ -43,11 +43,17 @@ at the start of a line::
 
     n m [multi]
     u v
+
+:func:`read_edge_list` reads lines in the form :func:`write_edge_list`
+writes (``u v`` in ASCII digits, one space, ``u < v < n``, ``\\n`` ends)
+in bulk, a piece of text at a time, and every other line as before, one at
+a time, so a faulty line raises the same error with the same line number.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count, repeat
@@ -287,6 +293,20 @@ def attach_pendants(g: Graph, v: int, t: int) -> Graph:
                          allow_parallel=g.allow_parallel)
 
 
+def _on_endpoints(g: Graph) -> Graph:
+    """g, or where its order exceeds twice its edges, g on its endpoints
+    alone, relabelled 0, 1, ... in ascending order: each edge keeps its id
+    and the order of its ends, so a table by vertex of the result is sized
+    by the edges.  g must have an edge."""
+    if g.order <= 2 * g.num_edges:
+        return g
+    ends = sorted({*g.us, *g.vs})
+    label = dict(zip(ends, count())).__getitem__
+    # a one-to-one relabelling keeps g's pairs distinct, or its copies
+    return _from_columns(len(ends), tuple(map(label, g.us)), tuple(map(label, g.vs)),
+                         g.allow_parallel, distinct=True)
+
+
 def degrees(g: Graph) -> list[int]:
     deg = [0] * g.order
     for u in g.us:
@@ -477,17 +497,25 @@ def write_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _lines(text: str, chunk: int = 1 << 16) -> Iterator[str]:
-    """The lines of ``text`` exactly as ``text.splitlines()`` gives them,
-    split one chunk of about ``chunk`` characters at a time, so that no list
-    of all the lines is ever held.  A chunk ends just after a ``\\n``,
-    which ends a line in every case (alone or as the end of ``\\r\\n``), so
-    the chunks' lines are the text's lines."""
+_PIECE = 1 << 16  # characters per piece of edge-list text, about
+
+# The lines ``write_edge_list`` writes after its header: two ASCII
+# integers and one space each, ``\n`` ends, the last one optional.
+_EDGE_LINES = re.compile(r"(?:[0-9]+ [0-9]+\n)*(?:[0-9]+ [0-9]+)?")
+
+
+def _pieces(text: str, size: int) -> Iterator[str]:
+    """``text`` in pieces of about ``size`` characters, each ending just
+    after a ``\\n``, the first line alone first.  A ``\\n`` ends a line in
+    every case (alone or as the end of ``\\r\\n``), so the pieces' lines,
+    by ``str.splitlines``, are the text's lines, and no list of all the
+    lines is ever held."""
     start, end = 0, len(text)
+    stop = text.find("\n") + 1 or end
     while start < end:
-        stop = text.find("\n", start + chunk) + 1 or end
-        yield from text[start:stop].splitlines()
+        yield text[start:stop]
         start = stop
+        stop = text.find("\n", start + size) + 1 or end
 
 
 def read_edge_list(text: str) -> Graph:
@@ -497,40 +525,59 @@ def read_edge_list(text: str) -> Graph:
     is parsed into the endpoint columns when it is read.  So a bad edge
     line is reported before a wrong edge count, which names the header's
     line.
+
+    The text is read in pieces (:func:`_pieces`).  After the header, a
+    piece whose lines all have the form ``write_edge_list`` writes,
+    ``u v`` in ASCII digits with ``u < v < n``, is parsed in bulk; every
+    other piece is parsed line by line, with the same errors and line
+    numbers as if no piece had been read in bulk.
     """
-    header_line = 0
+    header_line = lineno = 0
     us: list[int] = []
     vs: list[int] = []
-    for lineno, raw in enumerate(_lines(text), start=1):
-        parts = raw.split()
-        if not parts or parts[0].startswith("#"):
-            continue
-        if not header_line:
-            header_line = lineno
-            allow_parallel = parts[2:] == ["multi"]
-            if len(parts) != 2 + allow_parallel:
-                raise FormatError("header must be 'n m' or 'n m multi'", lineno)
+    for piece in _pieces(text, _PIECE):
+        if header_line and _EDGE_LINES.fullmatch(piece):
             try:
-                n, m = int(parts[0]), int(parts[1])
+                ends = [*map(int, piece.split())]
+            except ValueError:  # past the int digit limit: the line's own error
+                ends = []
+            a, b = ends[0::2], ends[1::2]
+            if ends and all(map(lt, a, b)) and max(b) < n:
+                us += a
+                vs += b
+                lineno += len(a)
+                continue
+        for raw in piece.splitlines():
+            lineno += 1
+            parts = raw.split()
+            if not parts or parts[0].startswith("#"):
+                continue
+            if not header_line:
+                header_line = lineno
+                allow_parallel = parts[2:] == ["multi"]
+                if len(parts) != 2 + allow_parallel:
+                    raise FormatError("header must be 'n m' or 'n m multi'", lineno)
+                try:
+                    n, m = int(parts[0]), int(parts[1])
+                except ValueError:
+                    raise FormatError("header must contain integers", lineno) from None
+                continue
+            try:
+                u_s, v_s = parts
             except ValueError:
-                raise FormatError("header must contain integers", lineno) from None
-            continue
-        try:
-            u_s, v_s = parts
-        except ValueError:
-            raise FormatError("edge line must be 'u v'", lineno) from None
-        try:
-            u, v = int(u_s), int(v_s)
-        except ValueError:
-            raise FormatError("edge endpoints must be integers", lineno) from None
-        if u == v:
-            raise FormatError("loops are not allowed", lineno)
-        if not (0 <= u < n and 0 <= v < n):
-            raise FormatError(f"endpoint out of range [0, {n})", lineno)
-        if u > v:
-            u, v = v, u
-        us.append(u)
-        vs.append(v)
+                raise FormatError("edge line must be 'u v'", lineno) from None
+            try:
+                u, v = int(u_s), int(v_s)
+            except ValueError:
+                raise FormatError("edge endpoints must be integers", lineno) from None
+            if u == v:
+                raise FormatError("loops are not allowed", lineno)
+            if not (0 <= u < n and 0 <= v < n):
+                raise FormatError(f"endpoint out of range [0, {n})", lineno)
+            if u > v:
+                u, v = v, u
+            us.append(u)
+            vs.append(v)
     if not header_line:
         raise FormatError("empty edge-list file")
     if len(us) != m:

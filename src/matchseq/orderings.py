@@ -13,7 +13,8 @@ pair at all (i.e. the graph is itself a matching).
 
 Ordering file format: a single line of m whitespace-separated tokens, one
 per position, each ``u-v`` or ``u-v#j`` for the j-th parallel copy
-(0-based, in edge-id order).
+(0-based, in edge-id order).  ``_tokens`` is the writer's table, one token
+per edge id, and the reader inverts it: only a token not in it is parsed.
 
 Bipartite orderings can be rendered as a labeled biadjacency matrix: cell
 (i, j) shows the position of the edge joining the i-th row vertex to the
@@ -29,7 +30,7 @@ from itertools import count
 from typing import Iterable, Literal, Sequence
 
 from .errors import FormatError, InvalidEdgeId, InvalidOrdering
-from .graphs import Graph, _vertex_names
+from .graphs import Graph, _on_endpoints, _vertex_names
 
 LINEAR = "linear"
 CYCLIC = "cyclic"
@@ -123,11 +124,8 @@ def matching_number(o: EdgeOrdering) -> MatchingNumberReport:
     never outgrow the edges; a vertex's positions keep their meaning.
     """
     m = o.length
-    us, vs, order = o.graph.us, o.graph.vs, o.graph.order
-    if order > 2 * m:  # the endpoints, labelled 0, 1, ... in ascending order
-        ends = sorted({*us, *vs})
-        label = dict(zip(ends, count())).__getitem__
-        us, vs, order = [*map(label, us)], [*map(label, vs)], len(ends)
+    g = _on_endpoints(o.graph)
+    us, vs, order = g.us, g.vs, g.order
     first = [0] * order  # 0: vertex not met yet
     last = [0] * order
     gap, lo, hi = m + 1, 0, 0  # best (gap, pos_lo, pos_hi); m + 1: no pair yet
@@ -200,41 +198,55 @@ def random_ordering(g: Graph, mode: Mode, rng: random.Random) -> EdgeOrdering:
 # ---------------------------------------------------------------------------
 # ordering file format
 
-def write_ordering(o: EdgeOrdering) -> str:
-    g = o.graph
+def _tokens(g: Graph) -> list[str]:
+    """The token of each edge, by edge id: ``u-v``, or ``u-v#j`` for copy j
+    of a pair with several copies, in id order."""
     names = _vertex_names(g)
-    tokens = [f"{names[u]}-{names[v]}" for u, v in zip(g.us, g.vs)]  # by edge id
-    if g.allow_parallel:  # copy j of a pair, in id order, is "u-v#j"
+    tokens = [f"{names[u]}-{names[v]}" for u, v in zip(g.us, g.vs)]
+    if g.allow_parallel:
         for u, v in set(zip(g.us, g.vs)):
             ids = g.edge_ids_between(u, v)
             if len(ids) > 1:
                 for j, eid in enumerate(ids):
                     tokens[eid] += f"#{j}"
+    return tokens
+
+
+def write_ordering(o: EdgeOrdering) -> str:
+    tokens = _tokens(o.graph)
     return " ".join(map(tokens.__getitem__, o.sequence)) + "\n"
 
 
 def read_ordering(text: str, g: Graph, mode: Mode) -> EdgeOrdering:
+    """Parse an ordering file of g.  Each token is looked up in the inverse
+    of ``_tokens(g)``; only a token that misses (``v-u``, ``u-v#0`` on a
+    pair with one copy, a bare ``u-v`` on one with several, or no edge's
+    token at all) is parsed, in index order, so the first bad token raises
+    its error."""
     tokens = text.split()
     if len(tokens) != g.num_edges:
         raise FormatError(
             f"expected {g.num_edges} ordering tokens, found {len(tokens)}", 1)
-    between = g.edge_ids_between
-    seq = []
-    for k, token in enumerate(tokens):
-        body, _, copy = token.partition("#")
-        u_s, _, v_s = body.partition("-")
-        try:
-            u, v = int(u_s), int(v_s)
-            j = int(copy) if copy else 0
-        except ValueError:
-            raise FormatError(f"bad ordering token {token!r} (index {k})", 1) from None
-        ids = between(u, v)
-        if not ids:
-            raise FormatError(f"token {token!r}: no edge {{{u},{v}}} in graph", 1)
-        if not (0 <= j < len(ids)):
-            raise FormatError(
-                f"token {token!r}: copy index {j} out of range (have {len(ids)})", 1)
-        seq.append(ids[j])
+    seq = [*map(dict(zip(_tokens(g), count())).get, tokens)]
+    if None in seq:
+        between = g.edge_ids_between
+        for k, token in enumerate(tokens):
+            if seq[k] is not None:
+                continue
+            body, _, copy = token.partition("#")
+            u_s, _, v_s = body.partition("-")
+            try:
+                u, v = int(u_s), int(v_s)
+                j = int(copy) if copy else 0
+            except ValueError:
+                raise FormatError(f"bad ordering token {token!r} (index {k})", 1) from None
+            ids = between(u, v)
+            if not ids:
+                raise FormatError(f"token {token!r}: no edge {{{u},{v}}} in graph", 1)
+            if not (0 <= j < len(ids)):
+                raise FormatError(
+                    f"token {token!r}: copy index {j} out of range (have {len(ids)})", 1)
+            seq[k] = ids[j]
     try:
         return EdgeOrdering(g, tuple(seq), mode)
     except InvalidOrdering as exc:

@@ -101,7 +101,7 @@ from dataclasses import dataclass, replace
 from typing import Iterator
 
 from .errors import InvalidOrdering, InvalidTarget
-from .graphs import Graph, degrees, max_matching_size
+from .graphs import Graph, _on_endpoints, degrees, max_matching_size
 from .orderings import (CYCLIC, LINEAR, EdgeOrdering, Mode, matching_number,
                         with_mode)
 
@@ -175,15 +175,23 @@ def exists_ordering(g: Graph, d: int, mode: Mode,
     if d == 1:  # any ordering attains 1
         return SolveResult(VALUE_FOUND, 1, EdgeOrdering(g, tuple(range(m)), mode),
                            0, (0,) * m, time.perf_counter() - t0)
-    degree = degrees(g)
-    room = _spacing(g, d, mode == CYCLIC, degree)
+    h = _on_endpoints(g)  # the same edge ids, tables by vertex sized by them
+    degree = degrees(h)
+    room = _spacing(h, d, mode == CYCLIC, degree)
     if room is None:
         return SolveResult(NONEXISTENCE_CERTIFIED, None, None, 0, (0,) * m,
                            time.perf_counter() - t0)
     deadline = t0 + budget.max_seconds
-    res = _search(g, d, mode, _tables(g, deadline), degree, room, budget.max_nodes,
+    res = _search(h, d, mode, _tables(h, deadline), degree, room, budget.max_nodes,
                   deadline)
-    return replace(res, elapsed_seconds=time.perf_counter() - t0)
+    return replace(res, witness=_on_host(g, res.witness),
+                   elapsed_seconds=time.perf_counter() - t0)
+
+
+def _on_host(g: Graph, o: EdgeOrdering | None) -> EdgeOrdering | None:
+    """o, a witness found on ``_on_endpoints(g)``, as the same sequence of
+    edge ids on g."""
+    return o if o is None or o.graph is g else EdgeOrdering(g, o.sequence, o.mode)
 
 
 def _search(g: Graph, d: int, mode: Mode,
@@ -562,25 +570,26 @@ def _exact(g: Graph, mode: Mode, budget: SolveBudget,
         floor = matching_number(seed).value
     nu = max_matching_size(g)
     if nu > floor:  # else no d is searched
-        degree = degrees(g)
+        h = _on_endpoints(g)  # the same edge ids, tables by vertex sized by them
+        degree = degrees(h)
     tables = None  # built for the first d that spacing does not refute
     nodes = placed = 0
     hist = [0] * m
     certified: int | None = None
     for d in range(nu, floor, -1):
-        room = _spacing(g, d, mode == CYCLIC, degree)
+        room = _spacing(h, d, mode == CYCLIC, degree)
         if room is None:  # refuted in 0 nodes
             certified = d
             continue
-        tables = tables or _tables(g, deadline)
-        res = _search(g, d, mode, tables, degree, room, budget.max_nodes - nodes,
+        tables = tables or _tables(h, deadline)
+        res = _search(h, d, mode, tables, degree, room, budget.max_nodes - nodes,
                       deadline, heuristic=seed is None)
         nodes += res.nodes_explored
         placed += res.greedy_placements
         hist = [a + b for a, b in zip(hist, res.depth_histogram)]
         if res.status != NONEXISTENCE_CERTIFIED:  # found, or out of budget
             # out of budget, a seed is still the best ordering known
-            witness = res.witness if res.value is not None else seed
+            witness = _on_host(g, res.witness) if res.value is not None else seed
             return SolveResult(res.status, res.value, witness, nodes,
                                tuple(hist), time.perf_counter() - t0,
                                certified_upper=certified if res.value is None else None,

@@ -276,6 +276,25 @@ def test_solve_long_cycle_without_target_no_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS as on Linux")
+def test_solve_two_edges_on_10_8_vertices_in_1_gib(tmp_path):
+    # the solver's degrees and incidence masks over 10^8 vertices raised
+    # MemoryError from _tables in a process limited to 1 GiB
+    import resource
+
+    def limit():  # in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    f = tmp_path / "two.txt"
+    f.write_text("100000000 2\n0 1\n2 3\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "matchseq.cli", "solve", "--graph", str(f),
+         "--mode", "linear", "--budget-seconds", "1"],
+        capture_output=True, text=True, preexec_fn=limit)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["value"] == 2
+
+
 def _k8_cyclic_files(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "construct", "--family", "complete", "--params", "8",
                          "--mode", "cyclic", "--out", str(tmp_path / "k8.ord"),

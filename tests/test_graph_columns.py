@@ -17,7 +17,7 @@ from matchseq import (FamilySpec, attach_pendants, biadjacency_layout, circulant
                       write_edge_list, write_ordering)
 from matchseq.catalog import _canonical_edge_subsets
 from matchseq.errors import FormatError
-from matchseq.graphs import Edge, Graph, _graph_from_pairs, _lines, degrees
+from matchseq.graphs import Edge, Graph, _graph_from_pairs, _pieces, degrees
 from matchseq.solver import _greedy_restarts, _spacing, _tables
 
 
@@ -138,9 +138,10 @@ def test_lines_split_like_splitlines(sep):
         parts = [rng.choice(["", "0 1", "# c", " 2 3 ", "x"]) for _ in range(rng.randint(0, 12))]
         text = "".join(p + rng.choice(seps) for p in parts) + rng.choice(["", "4 5"])
         want = text.splitlines()
-        for chunk in range(1, len(text) + 2):
-            assert list(_lines(text, chunk)) == want
-        assert list(_lines(text)) == want
+        for size in range(1, len(text) + 2):
+            pieces = list(_pieces(text, size))
+            assert "".join(pieces) == text
+            assert [line for piece in pieces for line in piece.splitlines()] == want
 
 
 @pytest.mark.parametrize("sep", SEPARATORS)
